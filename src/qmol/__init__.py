@@ -23,13 +23,14 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     InvalidDensityMatrix,
+    InvalidInput,
     NoRealSolution,
     NonHermitianInput,
     NotNormalized,
     NotResonant,
     QmolError,
 )
-from .hamiltonian import SystemParams, bell_basis_matrix, build_bell, build_positional
+from .hamiltonian import SystemParams, build_bell, build_positional
 from .linalg import EigenDecomposition, hermitian_eigensolve
 from .spectrum import (
     EigenSystem,
@@ -54,7 +55,6 @@ from .sweep import (
     dynamics_detuning_map,
     dynamics_tunneling_map,
     eigen_concurrence_map,
-    rerun,
 )
 from .units import HBAR_UEV_NS
 
@@ -72,7 +72,6 @@ __all__ = [
     "SystemParams",
     "build_positional",
     "build_bell",
-    "bell_basis_matrix",
     "EigenDecomposition",
     "hermitian_eigensolve",
     "EigenSystem",
@@ -98,8 +97,8 @@ __all__ = [
     "eigen_concurrence_map",
     "dynamics_tunneling_map",
     "dynamics_detuning_map",
-    "rerun",
     "QmolError",
+    "InvalidInput",
     "NonHermitianInput",
     "ConvergenceError",
     "NotNormalized",

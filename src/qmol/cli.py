@@ -25,11 +25,10 @@ import numpy as np
 
 from .dynamics import bell_condition, propagate, trajectory
 from .entanglement import concurrence_pure
-from .errors import ConfigError, NoRealSolution, QmolError
+from .errors import ConfigError, InvalidInput, NoRealSolution, QmolError
 from .hamiltonian import SystemParams
 from .serialize import (
     fmt6,
-    parse_metadata,
     pgm_bytes,
     sweep_csv_bytes,
     table_csv_bytes,
@@ -155,7 +154,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="ascii") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -173,7 +172,12 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags, config file, and defaults into a validated RunConfig."""
+    """Merge flags, config file, and defaults into a RunConfig.
+
+    Only text parsing and SystemParams checks happen here; the ranges a
+    command needs (steps, tmax, n, m, resonance) are checked by the
+    library function it calls, which raises InvalidInput.
+    """
     flag_raw = {
         key: value
         for key, value in vars(args).items()
@@ -191,26 +195,23 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key, text in raw.items():
         values[key] = _CONVERTERS[key](text)
 
-    try:
-        if "ratio" in values:
-            params = SystemParams.from_ratio(
-                values["ratio"],
-                j=values.get("j", 25.0),
-                eps1=values.get("e1", 0.0),
-                eps2=values.get("e2", 0.0),
-            )
-        else:
-            params = SystemParams(
-                eps1=values.get("e1", 0.0),
-                eps2=values.get("e2", 0.0),
-                delta1=values.get("d1", 0.0),
-                delta2=values.get("d2", 0.0),
-                j=values.get("j", 25.0),
-            )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if "ratio" in values:
+        params = SystemParams.from_ratio(
+            values["ratio"],
+            j=values.get("j", 25.0),
+            eps1=values.get("e1", 0.0),
+            eps2=values.get("e2", 0.0),
+        )
+    else:
+        params = SystemParams(
+            eps1=values.get("e1", 0.0),
+            eps2=values.get("e2", 0.0),
+            delta1=values.get("d1", 0.0),
+            delta2=values.get("d2", 0.0),
+            j=values.get("j", 25.0),
+        )
 
-    config = RunConfig(
+    return RunConfig(
         command=args.command,
         params=params,
         init=values.get("init", "RL"),
@@ -225,35 +226,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         out=values.get("out"),
         pgm=values.get("pgm"),
     )
-    _validate_for_command(config)
-    return config
-
-
-def _validate_for_command(config: RunConfig) -> None:
-    needs_time = config.command == "dynamics" or (
-        config.command == "sweep" and config.kind != "eigen"
-    )
-    if needs_time:
-        if not config.tmax > 0.0:
-            raise ConfigError(f"tmax must be positive, got {config.tmax!r}")
-        if config.steps < 2:
-            raise ConfigError(f"steps must be at least 2, got {config.steps}")
-    if config.command == "sweep":
-        if config.kind == "tunneling-dynamics" and (
-            config.params.eps1 != 0.0 or config.params.eps2 != 0.0
-        ):
-            raise ConfigError("tunneling-dynamics sweep requires e1 = e2 = 0")
-        if config.kind == "detuning-dynamics" and (
-            config.params.delta1 != config.params.delta2
-        ):
-            raise ConfigError(
-                "detuning-dynamics sweep requires d1 = d2 (or --ratio)"
-            )
-    if config.command == "bell-times":
-        if config.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {config.n}")
-        if config.m < 1 or config.m % 2 == 0:
-            raise ConfigError(f"m must be a positive odd integer, got {config.m}")
 
 
 def _resolved_grid(config: RunConfig) -> tuple[float, float, int]:
@@ -477,19 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify(None)
         config = build_config(args)
         return _DISPATCH[config.command](config)
-    except ConfigError as exc:
+    except (InvalidInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoRealSolution as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (QmolError, ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -13,8 +13,7 @@ from math import ceil, cos, pi, sqrt
 
 import numpy as np
 
-from .entanglement import concurrence_pure
-from .errors import ConvergenceError, NoRealSolution, NotResonant
+from .errors import ConvergenceError, InvalidInput, NoRealSolution, NotResonant
 from .hamiltonian import SystemParams, build_positional
 from .linalg import hermitian_eigensolve
 from .spectrum import ResonanceKind, classify_resonance
@@ -153,18 +152,19 @@ def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
     """Solve for the equal-tunneling ratio that makes both blocks commensurate.
 
     Raises:
-        ValueError: if n or m are not positive integers, or m is even.
+        InvalidInput: if n or m are not positive integers, m is even, or
+            j is not positive.
         NoRealSolution: if m >= 2n, where the ratio formula turns imaginary.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+        raise InvalidInput(f"n must be a positive integer, got {n!r}")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+        raise InvalidInput(f"m must be a positive integer, got {m!r}")
     if m % 2 == 0:
-        raise ValueError(f"m must be odd, got {m}")
+        raise InvalidInput(f"m must be odd, got {m}")
     j = float(j)
     if not j > 0.0:
-        raise ValueError(f"j must be positive, got {j!r}")
+        raise InvalidInput(f"j must be positive, got {j!r}")
     if m >= 2 * n:
         raise NoRealSolution(
             f"no real tunneling ratio for n={n}, m={m}: requires m < 2n"
@@ -233,11 +233,15 @@ class Trajectory:
 def trajectory(
     p: SystemParams, psi0: StateVector, t_max: float, steps: int
 ) -> Trajectory:
-    """Propagate psi0 over `steps` evenly spaced times covering [0, t_max]."""
+    """Propagate psi0 over `steps` evenly spaced times covering [0, t_max].
+
+    Raises:
+        InvalidInput: if steps is not an integer >= 2 or t_max is not positive.
+    """
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+        raise InvalidInput(f"steps must be an integer >= 2, got {steps!r}")
     if not t_max > 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max!r}")
+        raise InvalidInput(f"tmax must be positive, got {t_max!r}")
     times = np.linspace(0.0, float(t_max), steps)
     amps = _evolve(p, psi0.to_positional().amplitudes, times)
     populations = np.abs(amps) ** 2

@@ -2,6 +2,7 @@
 
 __all__ = [
     "QmolError",
+    "InvalidInput",
     "NonHermitianInput",
     "ConvergenceError",
     "NotNormalized",
@@ -16,6 +17,10 @@ class QmolError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInput(QmolError, ValueError):
+    """An argument lies outside the range the called function accepts."""
+
+
 class NonHermitianInput(QmolError, ValueError):
     """A matrix expected to be Hermitian failed the symmetry check."""
 
@@ -28,7 +33,7 @@ class NotNormalized(QmolError, ValueError):
     """A state vector does not have unit norm within tolerance."""
 
 
-class NotResonant(QmolError, ValueError):
+class NotResonant(InvalidInput):
     """An operation that requires zero detuning received a detuned system."""
 
 
@@ -40,5 +45,5 @@ class InvalidDensityMatrix(QmolError, ValueError):
     """A density matrix violated Hermiticity, unit trace, or positivity."""
 
 
-class ConfigError(QmolError, ValueError):
+class ConfigError(InvalidInput):
     """Command-line or config-file input could not be turned into a run."""

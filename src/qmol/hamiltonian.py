@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BELL_MATRIX
+from .errors import InvalidInput
 
-__all__ = ["SystemParams", "build_positional", "build_bell", "bell_basis_matrix"]
+__all__ = ["SystemParams", "build_positional", "build_bell"]
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,10 @@ class SystemParams:
         for name in ("eps1", "eps2", "delta1", "delta2", "j"):
             value = getattr(self, name)
             if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise InvalidInput(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, float(value))
         if self.j <= 0.0:
-            raise ValueError(f"j must be positive, got {self.j!r}")
+            raise InvalidInput(f"j must be positive, got {self.j!r}")
 
     @property
     def eps_sum(self) -> float:
@@ -90,7 +90,7 @@ def build_bell(p: SystemParams) -> np.ndarray:
     block the same splitting with coupling (delta1 + delta2)/2, and the
     two blocks are linked only by the detunings, -eps_diff/2 between the
     Psi states and -eps_sum/2 between the Phi states.  Equals
-    B @ build_positional(p) @ B^dagger for the Bell basis matrix B.
+    B @ build_positional(p) @ B^dagger for B = states.BELL_MATRIX.
     """
     j4 = p.j / 4.0
     am = (p.delta2 - p.delta1) / 2.0
@@ -106,8 +106,3 @@ def build_bell(p: SystemParams) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def bell_basis_matrix() -> np.ndarray:
-    """Unitary mapping positional amplitudes to Bell amplitudes (rows are Bell states)."""
-    return BELL_MATRIX.copy()

@@ -18,9 +18,7 @@ from .errors import ConvergenceError, NonHermitianInput
 
 __all__ = [
     "EigenDecomposition",
-    "dagger",
-    "matvec",
-    "matmul",
+    "pair_flags_to_states",
     "expectation",
     "hermitian_eigensolve",
 ]
@@ -31,21 +29,6 @@ _HERM_TOL = 1e-12
 _PHASE_FLOOR = 1e-9
 _DEGENERACY_TOL = 1e-9
 _MAX_SWEEPS = 60
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product m @ v."""
-    return np.asarray(m) @ np.asarray(v)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix-matrix product a @ b."""
-    return np.asarray(a) @ np.asarray(b)
 
 
 def expectation(m: np.ndarray, psi: np.ndarray) -> float:
@@ -74,8 +57,14 @@ class EigenDecomposition:
     @property
     def degenerate_states(self) -> tuple[bool, bool, bool, bool]:
         """Per-state flag: True if the state belongs to a flagged pair."""
-        f = self.degenerate_pairs
-        return (f[0], f[0] or f[1], f[1] or f[2], f[2])
+        return pair_flags_to_states(self.degenerate_pairs)
+
+
+def pair_flags_to_states(
+    pairs: tuple[bool, bool, bool],
+) -> tuple[bool, bool, bool, bool]:
+    """Per-state flags from the adjacent-pair flags (0,1), (1,2), (2,3)."""
+    return (pairs[0], pairs[0] or pairs[1], pairs[1] or pairs[2], pairs[2])
 
 
 def _require_hermitian_4x4(m: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotResonant
 from .hamiltonian import SystemParams, build_positional
-from .linalg import EigenDecomposition, hermitian_eigensolve
+from .linalg import EigenDecomposition, hermitian_eigensolve, pair_flags_to_states
 from .states import BELL_MATRIX, Basis, StateVector
 
 __all__ = [
@@ -49,8 +49,8 @@ class EigenSystem:
 
     @property
     def degenerate_states(self) -> tuple[bool, bool, bool, bool]:
-        f = self.degenerate_pairs
-        return (f[0], f[0] or f[1], f[1] or f[2], f[2])
+        """Per-state flag: True if the state belongs to a flagged pair."""
+        return pair_flags_to_states(self.degenerate_pairs)
 
     @property
     def vectors(self) -> np.ndarray:

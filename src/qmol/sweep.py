@@ -1,8 +1,9 @@
 """2-D concurrence scans: eigenstate maps over detunings and dynamics maps.
 
 Cells are evaluated sequentially in row-major order with the deterministic
-eigensolver, so identical inputs always produce bit-identical grids; the
-`rerun` helper re-executes a grid from its own metadata to prove it.
+eigensolver, so identical inputs always produce bit-identical grids.  A
+map is rerun from the CSV header the CLI writes for it (see
+`qmol.cli.config_from_metadata`).
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import numpy as np
 
 from .dynamics import trajectory
 from .entanglement import concurrence_pure
-from .errors import NotResonant
+from .errors import InvalidInput, NotResonant
 from .hamiltonian import SystemParams, build_positional
 from .linalg import hermitian_eigensolve
-from .spectrum import ResonanceKind, classify_resonance
-from .states import Basis, StateVector
+from .states import StateVector
 
 __all__ = [
     "Axis",
@@ -25,7 +25,6 @@ __all__ = [
     "eigen_concurrence_map",
     "dynamics_tunneling_map",
     "dynamics_detuning_map",
-    "rerun",
 ]
 
 
@@ -41,10 +40,13 @@ class Axis:
 
     def __post_init__(self) -> None:
         if not isinstance(self.count, int) or self.count < 2:
-            raise ValueError(f"axis count must be an integer >= 2, got {self.count!r}")
+            raise InvalidInput(
+                f"axis {self.name!r} count must be an integer >= 2, got {self.count!r}"
+            )
         if not self.maximum > self.minimum:
-            raise ValueError(
-                f"axis needs maximum > minimum, got [{self.minimum!r}, {self.maximum!r}]"
+            raise InvalidInput(
+                f"axis {self.name!r} needs maximum > minimum, "
+                f"got [{self.minimum!r}, {self.maximum!r}]"
             )
 
     @property
@@ -60,14 +62,12 @@ class SweepGrid:
     values lie in [0, 1].  For eigenstate maps, degenerate_mask marks the
     cells whose eigenvector sits in a near-degenerate pair and is
     therefore basis-ambiguous (the value is still emitted under the
-    solver's phase convention).  metadata records everything needed to
-    recompute the grid bit-identically (see `rerun`).
+    solver's phase convention).
     """
 
     x_axis: Axis
     y_axis: Axis
     values: np.ndarray
-    metadata: dict
     degenerate_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -79,16 +79,6 @@ class SweepGrid:
             if self.degenerate_mask.shape != expected:
                 raise ValueError("degenerate mask shape mismatch")
             self.degenerate_mask.setflags(write=False)
-
-
-def _base_metadata(base: SystemParams) -> dict:
-    return {
-        "eps1": base.eps1,
-        "eps2": base.eps2,
-        "delta1": base.delta1,
-        "delta2": base.delta2,
-        "j": base.j,
-    }
 
 
 def eigen_concurrence_map(
@@ -106,7 +96,7 @@ def eigen_concurrence_map(
     the pure-state concurrence of the requested ascending-energy state.
     """
     if state_index not in (0, 1, 2, 3):
-        raise ValueError(f"state_index must be 0..3, got {state_index!r}")
+        raise InvalidInput(f"state_index must be 0..3, got {state_index!r}")
     lo = -base.j if eps_min is None else float(eps_min)
     hi = base.j if eps_max is None else float(eps_max)
     x_axis = Axis("eps1", lo, hi, eps_steps, "ueV")
@@ -121,18 +111,7 @@ def eigen_concurrence_map(
             dec = hermitian_eigensolve(build_positional(p))
             values[iy, ix] = concurrence_pure(dec.vectors[:, state_index])
             mask[iy, ix] = dec.degenerate_states[state_index]
-    metadata = _base_metadata(base) | {
-        "kind": "eigen",
-        "state_index": state_index,
-        "eps_min": lo,
-        "eps_max": hi,
-        "eps_steps": eps_steps,
-    }
-    return SweepGrid(x_axis, y_axis, values, metadata, degenerate_mask=mask)
-
-
-def _psi0_metadata(psi0: StateVector) -> tuple[complex, ...]:
-    return tuple(complex(a) for a in psi0.to_positional().amplitudes)
+    return SweepGrid(x_axis, y_axis, values, degenerate_mask=mask)
 
 
 def dynamics_tunneling_map(
@@ -150,28 +129,20 @@ def dynamics_tunneling_map(
     resonance; time runs along x and the ratio delta1/j along y.
 
     Raises:
-        NotResonant: if the base parameters carry nonzero detunings.
+        NotResonant: unless both base detunings are exactly zero.
     """
-    if classify_resonance(base) is not ResonanceKind.FULL_RESONANCE:
-        raise NotResonant("tunneling-ratio map requires eps1 = eps2 = 0 in base")
+    if base.eps1 != 0.0 or base.eps2 != 0.0:
+        raise NotResonant(
+            f"tunneling-ratio map requires detunings e1 = e2 = 0 exactly, "
+            f"got ({base.eps1!r}, {base.eps2!r})"
+        )
     x_axis = Axis("t", 0.0, float(t_max), t_steps, "ns")
     y_axis = Axis("ratio", float(ratio_min), float(ratio_max), ratio_steps, "")
     values = np.empty((ratio_steps, t_steps))
     for iy, ratio in enumerate(y_axis.values):
-        p = replace(
-            base, eps1=0.0, eps2=0.0, delta1=float(ratio) * base.j, delta2=float(ratio) * base.j
-        )
+        p = replace(base, delta1=float(ratio) * base.j, delta2=float(ratio) * base.j)
         values[iy] = trajectory(p, psi0, float(t_max), t_steps).concurrence
-    metadata = _base_metadata(base) | {
-        "kind": "tunneling-dynamics",
-        "t_max": float(t_max),
-        "t_steps": t_steps,
-        "ratio_min": float(ratio_min),
-        "ratio_max": float(ratio_max),
-        "ratio_steps": ratio_steps,
-        "psi0": _psi0_metadata(psi0),
-    }
-    return SweepGrid(x_axis, y_axis, values, metadata)
+    return SweepGrid(x_axis, y_axis, values)
 
 
 def dynamics_detuning_map(
@@ -190,9 +161,9 @@ def dynamics_detuning_map(
     rely on; time runs along x and eps1 along y.
     """
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        raise InvalidInput(f"sign must be +1 or -1, got {sign!r}")
     if base.delta1 != base.delta2:
-        raise ValueError(
+        raise InvalidInput(
             f"detuning map requires delta1 == delta2, got "
             f"({base.delta1!r}, {base.delta2!r})"
         )
@@ -202,58 +173,4 @@ def dynamics_detuning_map(
     for iy, e1 in enumerate(y_axis.values):
         p = replace(base, eps1=float(e1), eps2=sign * float(e1))
         values[iy] = trajectory(p, psi0, float(t_max), t_steps).concurrence
-    metadata = _base_metadata(base) | {
-        "kind": "detuning-dynamics",
-        "t_max": float(t_max),
-        "t_steps": t_steps,
-        "eps_min": float(eps_min),
-        "eps_max": float(eps_max),
-        "eps_steps": eps_steps,
-        "sign": sign,
-        "psi0": _psi0_metadata(psi0),
-    }
-    return SweepGrid(x_axis, y_axis, values, metadata)
-
-
-def rerun(grid: SweepGrid) -> SweepGrid:
-    """Recompute a grid from its own metadata; bit-identical to the original."""
-    meta = grid.metadata
-    base = SystemParams(
-        eps1=meta["eps1"],
-        eps2=meta["eps2"],
-        delta1=meta["delta1"],
-        delta2=meta["delta2"],
-        j=meta["j"],
-    )
-    kind = meta["kind"]
-    if kind == "eigen":
-        return eigen_concurrence_map(
-            base,
-            meta["state_index"],
-            eps_min=meta["eps_min"],
-            eps_max=meta["eps_max"],
-            eps_steps=meta["eps_steps"],
-        )
-    psi0 = StateVector(np.array(meta["psi0"], dtype=complex), Basis.POSITIONAL)
-    if kind == "tunneling-dynamics":
-        return dynamics_tunneling_map(
-            base,
-            meta["t_max"],
-            meta["t_steps"],
-            meta["ratio_min"],
-            meta["ratio_max"],
-            meta["ratio_steps"],
-            psi0,
-        )
-    if kind == "detuning-dynamics":
-        return dynamics_detuning_map(
-            base,
-            meta["t_max"],
-            meta["t_steps"],
-            meta["eps_min"],
-            meta["eps_max"],
-            meta["eps_steps"],
-            psi0,
-            meta["sign"],
-        )
-    raise ValueError(f"unknown sweep kind {kind!r}")
+    return SweepGrid(x_axis, y_axis, values)

@@ -8,17 +8,15 @@ reports pass/fail; the full battery runs in a few seconds.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .dynamics import analytic_populations, bell_condition, propagate, propagate_rk4
 from .entanglement import concurrence, concurrence_pure
-from .hamiltonian import SystemParams, bell_basis_matrix, build_bell, build_positional
+from .hamiltonian import SystemParams, build_bell, build_positional
 from .linalg import expectation, hermitian_eigensolve
 from .spectrum import eigensystem, resonant_solution
-from .states import Basis, StateVector, basis_state
-from .sweep import eigen_concurrence_map, rerun
+from .states import BELL_MATRIX, Basis, StateVector, basis_state
+from .sweep import eigen_concurrence_map
 
 __all__ = ["run_all", "CHECKS"]
 
@@ -65,7 +63,7 @@ def check_eigensolver_against_numpy() -> tuple[bool, str]:
 
 def check_basis_change() -> tuple[bool, str]:
     rng = np.random.default_rng(13)
-    b = bell_basis_matrix()
+    b = BELL_MATRIX
     worst = 0.0
     for _ in range(200):
         p = _random_params(rng)
@@ -178,7 +176,7 @@ def check_bell_condition() -> tuple[bool, str]:
 def check_sweep_determinism() -> tuple[bool, str]:
     base = SystemParams(delta1=25.0 / 16, delta2=25.0 / 16, j=25.0)
     grid = eigen_concurrence_map(base, 1, eps_steps=21)
-    again = rerun(grid)
+    again = eigen_concurrence_map(base, 1, eps_steps=21)
     identical = np.array_equal(grid.values, again.values) and np.array_equal(
         grid.degenerate_mask, again.degenerate_mask
     )

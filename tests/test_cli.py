@@ -211,6 +211,14 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "jj" in err
 
 
+def test_config_file_not_ascii(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"j = 2\xc3\xa9\n")
+    code, _, err = run(capsys, "dynamics", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_config_file_missing(capsys):
     code, _, err = run(capsys, "dynamics", "--config", "/nonexistent/path.cfg")
     assert code == 2
@@ -232,6 +240,23 @@ def test_bad_state_and_sign(capsys):
 def test_rejects_nonpositive_coupling(capsys):
     assert run(capsys, "spectrum", "--j", "-5")[0] == 2
     assert run(capsys, "spectrum", "--j", "abc")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dynamics", "--steps", "1"],
+        ["sweep", "tunneling-dynamics", "--tmax", "0"],
+        ["sweep", "detuning-dynamics", "--steps", "1", "--grid=-1:1:3"],
+        ["bell-times", "--n", "0"],
+        ["sweep", "tunneling-dynamics", "--e1", "1e-13"],
+    ],
+)
+def test_library_argument_checks_exit_2(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_spectrum_out_file_matches_stdout(tmp_path, capsys):

@@ -3,10 +3,10 @@ import pytest
 
 from qmol.hamiltonian import (
     SystemParams,
-    bell_basis_matrix,
     build_bell,
     build_positional,
 )
+from qmol.states import BELL_MATRIX
 
 
 def test_positional_entries_explicit():
@@ -35,7 +35,7 @@ def test_positional_is_hermitian_and_traceless():
 
 def test_bell_form_matches_conjugation():
     rng = np.random.default_rng(4)
-    b = bell_basis_matrix()
+    b = BELL_MATRIX
     for _ in range(100):
         e1, e2, d1, d2 = rng.uniform(-30.0, 30.0, 4)
         p = SystemParams(eps1=e1, eps2=e2, delta1=d1, delta2=d2, j=float(rng.uniform(1, 40)))

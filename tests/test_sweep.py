@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmol.dynamics import bell_condition
-from qmol.errors import NotResonant
+from qmol.errors import InvalidInput, NotResonant
 from qmol.hamiltonian import SystemParams
 from qmol.states import basis_state
 from qmol.sweep import (
@@ -10,7 +10,6 @@ from qmol.sweep import (
     dynamics_detuning_map,
     dynamics_tunneling_map,
     eigen_concurrence_map,
-    rerun,
 )
 
 
@@ -33,7 +32,6 @@ def test_eigen_map_defaults_span_coulomb_coupling():
     grid = eigen_concurrence_map(base, 1, eps_steps=5)
     assert grid.x_axis.minimum == -25.0 and grid.x_axis.maximum == 25.0
     assert grid.values.shape == (5, 5)
-    assert grid.metadata["kind"] == "eigen"
 
 
 def test_eigen_map_diagonal_is_maximally_entangled():
@@ -107,6 +105,14 @@ def test_tunneling_map_requires_resonance():
         )
 
 
+def test_tunneling_map_resonance_check_is_exact():
+    # a detuning below classify_resonance's tolerance is still a detuning
+    with pytest.raises(InvalidInput):
+        dynamics_tunneling_map(
+            SystemParams(eps2=1e-13), 1.0, 5, 0.0, 1.0, 3, basis_state("RL")
+        )
+
+
 def test_detuning_map_center_row_matches_resonant_dynamics():
     bc = bell_condition(1, 1, 25.0)
     base = bc.params()
@@ -154,16 +160,22 @@ def test_detuning_map_accepts_all_positional_preparations(label, sign):
     assert np.all((grid.values >= 0.0) & (grid.values <= 1.0))
 
 
-def test_rerun_reproduces_each_kind_bitwise():
+def test_each_kind_repeats_bitwise():
     base = SystemParams(delta1=25.0 / 16, delta2=25.0 / 16, j=25.0)
-    eig = eigen_concurrence_map(base, 1, eps_steps=9)
-    tun = dynamics_tunneling_map(SystemParams(j=25.0), 0.5, 6, 0.0, 1.0, 4, basis_state("RL"))
-    det = dynamics_detuning_map(base, 0.5, 6, -5.0, 5.0, 4, basis_state("LR"), -1)
-    for grid in (eig, tun, det):
-        again = rerun(grid)
+
+    def maps():
+        return (
+            eigen_concurrence_map(base, 1, eps_steps=9),
+            dynamics_tunneling_map(
+                SystemParams(j=25.0), 0.5, 6, 0.0, 1.0, 4, basis_state("RL")
+            ),
+            dynamics_detuning_map(base, 0.5, 6, -5.0, 5.0, 4, basis_state("LR"), -1),
+        )
+
+    first, second = maps(), maps()
+    for grid, again in zip(first, second):
         assert np.array_equal(grid.values, again.values)
-        assert grid.metadata == again.metadata
-    assert np.array_equal(eig.degenerate_mask, rerun(eig).degenerate_mask)
+    assert np.array_equal(first[0].degenerate_mask, second[0].degenerate_mask)
 
 
 def test_grid_values_read_only():
@@ -178,4 +190,4 @@ def test_grid_shape_validation():
     from qmol.sweep import SweepGrid
 
     with pytest.raises(ValueError):
-        SweepGrid(x, y, np.zeros((3, 4)), {})  # must be (len(y), len(x))
+        SweepGrid(x, y, np.zeros((3, 4)))  # must be (len(y), len(x))
