@@ -28,6 +28,7 @@ from .errors import (
     NonHermitianInput,
     NotNormalized,
     NotResonant,
+    NumericOverflow,
     QmolError,
 )
 from .hamiltonian import SystemParams, build_bell, build_positional

@@ -13,6 +13,7 @@ from math import ceil, cos, pi, sqrt
 
 import numpy as np
 
+from .entanglement import concurrence_from_amplitudes
 from .errors import ConvergenceError, InvalidInput, NoRealSolution, NotResonant
 from .hamiltonian import SystemParams, build_positional
 from .linalg import hermitian_eigensolve
@@ -244,9 +245,9 @@ def trajectory(
         raise InvalidInput(f"tmax must be positive, got {t_max!r}")
     times = np.linspace(0.0, float(t_max), steps)
     amps = _evolve(p, psi0.to_positional().amplitudes, times)
-    populations = np.abs(amps) ** 2
-    conc = 2.0 * np.abs(amps[:, 0] * amps[:, 3] - amps[:, 1] * amps[:, 2])
-    conc = np.clip(conc, 0.0, 1.0)
     return Trajectory(
-        times=times, amplitudes=amps, populations=populations, concurrence=conc
+        times=times,
+        amplitudes=amps,
+        populations=np.abs(amps) ** 2,
+        concurrence=concurrence_from_amplitudes(amps),
     )

@@ -18,7 +18,13 @@ from .errors import InvalidDensityMatrix, NotNormalized
 from .linalg import hermitian_eigensolve
 from .states import Basis, StateVector
 
-__all__ = ["ConcurrenceResult", "spin_flip", "concurrence", "concurrence_pure"]
+__all__ = [
+    "ConcurrenceResult",
+    "spin_flip",
+    "concurrence",
+    "concurrence_pure",
+    "concurrence_from_amplitudes",
+]
 
 # sigma_y (x) sigma_y over {|LL>, |LR>, |RL>, |RR>}: real, symmetric, involutive.
 _FLIP = np.array(
@@ -130,3 +136,14 @@ def concurrence_pure(psi: StateVector | np.ndarray) -> float:
             raise NotNormalized(f"state norm is {norm!r}, expected 1")
     value = 2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2])
     return min(max(float(value), 0.0), 1.0)
+
+
+def concurrence_from_amplitudes(amps: np.ndarray) -> np.ndarray:
+    """Concurrence 2|c_LL*c_RR - c_LR*c_RL|, clipped to [0, 1], over the last axis.
+
+    The array form behind trajectories and eigen maps: amps holds
+    positional-basis amplitudes along its last axis (length 4), and their
+    normalization is the caller's to guarantee.
+    """
+    value = 2.0 * np.abs(amps[..., 0] * amps[..., 3] - amps[..., 1] * amps[..., 2])
+    return np.clip(value, 0.0, 1.0)

@@ -5,6 +5,7 @@ __all__ = [
     "InvalidInput",
     "NonHermitianInput",
     "ConvergenceError",
+    "NumericOverflow",
     "NotNormalized",
     "NotResonant",
     "NoRealSolution",
@@ -27,6 +28,10 @@ class NonHermitianInput(QmolError, ValueError):
 
 class ConvergenceError(QmolError, ArithmeticError):
     """An iterative routine failed to reach its tolerance."""
+
+
+class NumericOverflow(QmolError, OverflowError):
+    """A result does not fit in the double-precision range."""
 
 
 class NotNormalized(QmolError, ValueError):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInput
 
-__all__ = ["SystemParams", "build_positional", "build_bell"]
+__all__ = ["SystemParams", "build_positional", "positional_matrices", "build_bell"]
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,31 @@ class SystemParams:
 
 def build_positional(p: SystemParams) -> np.ndarray:
     """Hamiltonian over the positional basis {|LL>, |LR>, |RL>, |RR>}."""
-    es2 = p.eps_sum / 2.0
-    ed2 = p.eps_diff / 2.0
-    j4 = p.j / 4.0
-    d1 = p.delta1 / 2.0
-    d2 = p.delta2 / 2.0
-    return np.array(
-        [
-            [es2 + j4, d2, d1, 0.0],
-            [d2, ed2 - j4, 0.0, d1],
-            [d1, 0.0, -ed2 - j4, d2],
-            [0.0, d1, d2, -es2 + j4],
-        ],
-        dtype=complex,
-    )
+    return positional_matrices(p.eps1, p.eps2, p.delta1, p.delta2, p.j).astype(complex)
+
+
+def positional_matrices(eps1, eps2, delta1, delta2, j) -> np.ndarray:
+    """Real positional-basis Hamiltonians for scalar or array couplings.
+
+    The arguments broadcast against each other; the result has their
+    broadcast shape followed by (4, 4).  The arguments are not checked:
+    this is the matrix arithmetic of `build_positional` without the
+    SystemParams checks, so a sweep can build many cells at once.
+    """
+    es2 = (eps1 + eps2) / 2.0
+    ed2 = (eps1 - eps2) / 2.0
+    j4 = j / 4.0
+    d1 = delta1 / 2.0
+    d2 = delta2 / 2.0
+    # built entry-major, so each entry of a stack is one contiguous block
+    h = np.zeros((4, 4) + np.broadcast(es2, ed2, j4, d1, d2).shape)
+    h[0, 0] = es2 + j4
+    h[1, 1] = ed2 - j4
+    h[2, 2] = -ed2 - j4
+    h[3, 3] = -es2 + j4
+    h[0, 1] = h[1, 0] = h[2, 3] = h[3, 2] = d2
+    h[0, 2] = h[2, 0] = h[1, 3] = h[3, 1] = d1
+    return h.transpose(tuple(range(2, h.ndim)) + (0, 1))
 
 
 def build_bell(p: SystemParams) -> np.ndarray:

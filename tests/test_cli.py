@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from qmol.cli import (
 )
 from qmol.hamiltonian import SystemParams
 from qmol.serialize import parse_metadata
+from qmol.spectrum import resonant_solution
 
 
 def run(capsys, *argv):
@@ -229,6 +232,27 @@ def test_bad_grid_strings(capsys):
     assert run(capsys, "sweep", "eigen", "--grid", "2:1:5")[0] == 2
     assert run(capsys, "sweep", "eigen", "--grid", "1:2:1")[0] == 2
     assert run(capsys, "sweep", "eigen", "--grid", "a:b:5")[0] == 2
+
+
+def test_grid_with_overflowing_span_exits_2_without_warnings(capsys):
+    # both endpoints are finite, but maximum - minimum is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "sweep", "eigen", "--grid=-1e308:1e308:3")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: axis 'eps1'") and "finite" in err
+
+
+def test_spectrum_at_huge_energies(capsys):
+    code, out, err = run(capsys, "spectrum", "--j", "1e300", "--d1", "1e300")
+    assert code == 0, err
+    rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+    energies = np.array([float(r.split(",")[1]) for r in rows])
+    # the closed form itself overflows at j = 1e300, so scale it up from j = 1
+    exact = np.sort(resonant_solution(SystemParams(j=1.0, delta1=1.0)).energies) * 1e300
+    assert np.all(np.abs(energies - exact) <= 1e-12 * np.abs(exact))
 
 
 def test_bad_state_and_sign(capsys):

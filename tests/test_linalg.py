@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmol.errors import NonHermitianInput
-from qmol.linalg import expectation, hermitian_eigensolve
+from qmol import linalg
+from qmol.errors import ConvergenceError, NonHermitianInput, NumericOverflow
+from qmol.hamiltonian import positional_matrices
+from qmol.linalg import (
+    expectation,
+    hermitian_eigensolve,
+    pair_flags_to_states,
+    symmetric_eigensolve_batch,
+)
 
 
 def random_hermitian(rng):
@@ -135,3 +144,144 @@ def test_helpers():
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v = v / np.linalg.norm(v)
     assert expectation(a, v) == pytest.approx((v.conj() @ a @ v).real)
+
+
+def random_symmetric(rng, n):
+    g = rng.standard_normal((n, 4, 4))
+    return g + g.transpose(0, 2, 1)
+
+
+def assert_batch_matches_scalar(h):
+    """Batch and scalar kernels agree bit for bit on every matrix of h."""
+    values, vectors, flags = symmetric_eigensolve_batch(h)
+    assert values.shape == (len(h), 4)
+    assert vectors.shape == (len(h), 4, 4)
+    assert flags.shape == (len(h), 3)
+    for k, m in enumerate(h):
+        dec = hermitian_eigensolve(m.astype(complex))
+        assert values[k].tobytes() == dec.values.tobytes()
+        assert np.array_equal(vectors[k], dec.vectors.real)
+        assert not dec.vectors.imag.any()
+        assert tuple(flags[k].tolist()) == dec.degenerate_pairs
+
+
+def test_batch_matches_scalar_on_random_matrices():
+    rng = np.random.default_rng(101)
+    h = random_symmetric(rng, 400)
+    h *= np.exp(rng.uniform(-20.0, 20.0, (400, 1, 1)))
+    assert_batch_matches_scalar(h)
+
+
+_entries = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_entries, min_size=10, max_size=10), min_size=1, max_size=8))
+def test_batch_matches_scalar_property(rows):
+    upper = np.triu_indices(4)
+    h = np.zeros((len(rows), 4, 4))
+    for k, row in enumerate(rows):
+        h[k][upper] = row
+        h[k].T[upper] = row
+    assert_batch_matches_scalar(h)
+
+
+def test_batch_matches_scalar_on_special_matrices():
+    signed_zeros = np.zeros((4, 4))
+    signed_zeros[0, 1] = signed_zeros[1, 0] = -0.0
+    signed_zeros[2, 2] = -0.0
+    h = np.array(
+        [
+            np.zeros((4, 4)),
+            signed_zeros,
+            np.diag([-2.0, -1.0, 0.5, 3.0]),
+            np.diag([3.0, 1.0, 1.0, -0.0]),
+            np.diag([2.0, 2.0, 2.0, 2.0]),
+            np.eye(4)[::-1] * -0.0 + np.diag([1.0, 1.0, 2.0, 2.0]),
+        ]
+    )
+    assert_batch_matches_scalar(h)
+
+
+def test_batch_matches_scalar_on_zero_tunneling_grid():
+    # without tunneling the cells are diagonal, with exact ties on the
+    # lines where a detuning equals +-j/2 and at the origin
+    e = np.linspace(-25.0, 25.0, 21)
+    e1, e2 = np.meshgrid(e, e)
+    h = positional_matrices(e1.ravel(), e2.ravel(), 0.0, 0.0, 25.0)
+    _, _, flags = symmetric_eigensolve_batch(h)
+    assert flags.any()
+    assert_batch_matches_scalar(h)
+
+
+def test_batch_handles_an_empty_stack():
+    values, vectors, flags = symmetric_eigensolve_batch(np.zeros((0, 4, 4)))
+    assert values.shape == (0, 4) and vectors.shape == (0, 4, 4)
+    assert flags.shape == (0, 3)
+
+
+def test_batch_rejects_bad_input():
+    good = random_symmetric(np.random.default_rng(2), 3)
+    with_nan = good.copy()
+    with_nan[1, 2, 2] = np.nan
+    with_inf = good.copy()
+    with_inf[2, 0, 3] = with_inf[2, 3, 0] = np.inf
+    skewed = good.copy()
+    skewed[0, 0, 1] += 1e-6
+    for bad in (with_nan, with_inf, skewed, good[:, :3, :3], good[0], good + 0j):
+        with pytest.raises(NonHermitianInput):
+            symmetric_eigensolve_batch(bad)
+
+
+def test_both_kernels_raise_when_sweeps_run_out(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    h = random_symmetric(np.random.default_rng(4), 5)
+    with pytest.raises(ConvergenceError):
+        hermitian_eigensolve(h[0])
+    with pytest.raises(ConvergenceError):
+        symmetric_eigensolve_batch(h)
+
+
+def test_pair_flags_rule_applies_to_arrays():
+    pairs = np.array([[True, False, False], [False, True, False], [False, False, False]])
+    states = np.column_stack(pair_flags_to_states(pairs.T))
+    assert states.tolist() == [
+        [True, True, False, False],
+        [False, True, True, False],
+        [False, False, False, False],
+    ]
+    assert pair_flags_to_states((False, False, True)) == (False, False, True, True)
+
+
+@pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+def test_out_of_range_matrices_are_scaled_exactly(power):
+    """Outside [2**-500, 2**500] a matrix is solved at a power-of-two scale;
+    the iteration commutes with that scale, so vectors and (scaled)
+    values keep their bits."""
+    h = random_symmetric(np.random.default_rng(8), 20)
+    values, vectors, _ = symmetric_eigensolve_batch(h)
+    big = h * 2.0**power
+    big_values, big_vectors, _ = symmetric_eigensolve_batch(big)
+    assert np.array_equal(big_values, values * 2.0**power)
+    assert np.array_equal(big_vectors, vectors)
+    assert_batch_matches_scalar(big)
+
+
+def test_scaling_fixes_overflow_and_underflow():
+    m = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    m[0, 1] = m[1, 0] = 0.5
+    for scale in (1e-170, 1e170, 1e300):
+        dec = hermitian_eigensolve(m * scale)
+        assert np.allclose(dec.values, np.linalg.eigvalsh(m) * scale, rtol=1e-13, atol=0.0)
+
+
+def test_eigenvalues_beyond_the_double_range_raise():
+    h = np.full((1, 4, 4), 1.7e308)
+    with pytest.raises(NumericOverflow):
+        hermitian_eigensolve(h[0])
+    with pytest.raises(NumericOverflow):
+        symmetric_eigensolve_batch(h)

@@ -1,9 +1,16 @@
+import tracemalloc
+from dataclasses import replace
+from math import isqrt
+
 import numpy as np
 import pytest
 
+from qmol import sweep
 from qmol.dynamics import bell_condition
+from qmol.entanglement import concurrence_pure
 from qmol.errors import InvalidInput, NotResonant
-from qmol.hamiltonian import SystemParams
+from qmol.hamiltonian import SystemParams, build_positional
+from qmol.linalg import hermitian_eigensolve
 from qmol.states import basis_state
 from qmol.sweep import (
     Axis,
@@ -25,6 +32,85 @@ def test_axis_validation():
         Axis("x", 1.0, 0.0, 5, "")
     with pytest.raises(ValueError):
         Axis("x", 0.0, 1.0, 4.5, "")
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(-1e308, 1e308), (0.0, float("inf")), (float("-inf"), 0.0)]
+)
+def test_axis_rejects_infinite_span(lo, hi):
+    with pytest.raises(InvalidInput, match="axis 'eps2'.*finite"):
+        Axis("eps2", lo, hi, 3, "ueV")
+
+
+def reference_map(base, state_index, eps_steps):
+    """The eigen map cell by cell: one scalar solve and concurrence_pure each."""
+    eps = np.linspace(-base.j, base.j, eps_steps)
+    values = np.empty((eps_steps, eps_steps))
+    mask = np.empty((eps_steps, eps_steps), dtype=bool)
+    for iy, e2 in enumerate(eps):
+        for ix, e1 in enumerate(eps):
+            cell = replace(base, eps1=float(e1), eps2=float(e2))
+            dec = hermitian_eigensolve(build_positional(cell))
+            values[iy, ix] = concurrence_pure(dec.vectors[:, state_index])
+            mask[iy, ix] = dec.degenerate_states[state_index]
+    return values, mask
+
+
+def assert_matches_reference(base, state_index, eps_steps):
+    grid = eigen_concurrence_map(base, state_index, eps_steps=eps_steps)
+    values, mask = reference_map(base, state_index, eps_steps)
+    assert grid.values.tobytes() == values.tobytes()
+    assert np.array_equal(grid.degenerate_mask, mask)
+
+
+TUNNELINGS = {
+    "zero": SystemParams(j=25.0),
+    "equal": SystemParams(delta1=5.0, delta2=5.0, j=25.0),
+    "unequal": SystemParams(delta1=25.0 / 4, delta2=25.0 / 8, j=25.0),
+}
+
+
+@pytest.mark.parametrize("state_index", [0, 1, 2, 3])
+@pytest.mark.parametrize("tunneling", sorted(TUNNELINGS))
+def test_eigen_map_matches_per_cell_reference(tunneling, state_index):
+    assert_matches_reference(TUNNELINGS[tunneling], state_index, 17)
+
+
+def test_eigen_map_larger_than_one_block_matches_reference():
+    steps = isqrt(sweep._BLOCK_CELLS) + 2
+    assert steps * steps > sweep._BLOCK_CELLS
+    assert_matches_reference(TUNNELINGS["unequal"], 1, steps)
+
+
+def test_eigen_map_blocks_need_not_align_with_rows(monkeypatch):
+    monkeypatch.setattr(sweep, "_BLOCK_CELLS", 7)
+    assert_matches_reference(TUNNELINGS["equal"], 2, 9)
+
+
+def test_eigen_map_memory_is_bounded_by_the_block():
+    # an unblocked solve of these 90 601 cells would need 11.6 MB for its
+    # input stack alone; the outputs take 0.8 MB
+    base = TUNNELINGS["equal"]
+    tracemalloc.start()
+    try:
+        eigen_concurrence_map(base, 1, eps_steps=301)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("power", [1000, -1000])
+def test_eigen_map_is_exact_under_power_of_two_scaling(power):
+    base = SystemParams(delta1=3.0, delta2=7.0, j=25.0)
+    scale = 2.0**power
+    big = SystemParams(delta1=3.0 * scale, delta2=7.0 * scale, j=25.0 * scale)
+    for state_index in range(4):
+        plain = eigen_concurrence_map(base, state_index, -20.0, 20.0, 17)
+        scaled = eigen_concurrence_map(
+            big, state_index, -20.0 * scale, 20.0 * scale, 17
+        )
+        assert scaled.values.tobytes() == plain.values.tobytes()
 
 
 def test_eigen_map_defaults_span_coulomb_coupling():
