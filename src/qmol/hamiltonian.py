@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInput
 
-__all__ = ["SystemParams", "build_positional", "positional_matrices", "build_bell"]
+__all__ = ["SystemParams", "build_positional", "build_bell"]
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,10 @@ class SystemParams:
 
 def build_positional(p: SystemParams) -> np.ndarray:
     """Hamiltonian over the positional basis {|LL>, |LR>, |RL>, |RR>}."""
-    return positional_matrices(p.eps1, p.eps2, p.delta1, p.delta2, p.j).astype(complex)
+    return _positional_matrices(p.eps1, p.eps2, p.delta1, p.delta2, p.j).astype(complex)
 
 
-def positional_matrices(eps1, eps2, delta1, delta2, j) -> np.ndarray:
+def _positional_matrices(eps1, eps2, delta1, delta2, j) -> np.ndarray:
     """Real positional-basis Hamiltonians for scalar or array couplings.
 
     The arguments broadcast against each other; the result has their

@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import trajectory
 from .entanglement import concurrence_from_amplitudes
 from .errors import InvalidInput, NotResonant
-from .hamiltonian import SystemParams, positional_matrices
+from .hamiltonian import SystemParams, _positional_matrices
 from .linalg import pair_flags_to_states, symmetric_eigensolve_batch
 
 # Unused here since eigen maps solve in batches, but bench/test_bench.py
@@ -131,7 +131,7 @@ def eigen_concurrence_map(
         iy, ix = np.divmod(np.arange(start, stop), eps_steps)
         # an entry that overflows fails the solver's finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
-            h = positional_matrices(xs[ix], ys[iy], base.delta1, base.delta2, base.j)
+            h = _positional_matrices(xs[ix], ys[iy], base.delta1, base.delta2, base.j)
         _, vectors, pairs = symmetric_eigensolve_batch(h)
         values[start:stop] = concurrence_from_amplitudes(vectors[:, :, state_index])
         mask[start:stop] = pair_flags_to_states(pairs.T)[state_index]
