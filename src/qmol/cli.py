@@ -13,11 +13,23 @@ defaults (j = 25 ueV, detunings and tunnelings 0).  Config files are
 line-oriented `key = value` text with `#` comments.  Every CSV starts
 with a `# key = value` header that fully reproduces the run; exit codes
 are 0 (ok), 2 (bad input), 3 (numeric failure), 4 (no solution).
+
+Output files are rewritten in place: `_emit` opens an existing file
+without truncating it, writes the new bytes over the old ones and then
+cuts a regular file at the new length.  Truncating to zero length on open
+(`open(path, "wb")`) makes ext4, with its default `auto_da_alloc`, start
+write-back of the new data on close, and the next such open of the same
+path waits for that write-back, about 20-50 ms per file; writing a temp
+file and renaming it over the path stalls the same way.  Rewriting in
+place keeps symlinks, hard links, permission bits and special files such
+as FIFOs and /dev/null working as they did.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -339,8 +351,11 @@ def _emit(data: bytes, path: str | None) -> None:
     if path is None:
         sys.stdout.write(data.decode("ascii"))
     else:
-        with open(path, "wb") as handle:
+        # no O_TRUNC: see the module docstring
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
             handle.write(data)
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()
 
 
 def cmd_spectrum(config: RunConfig) -> int:

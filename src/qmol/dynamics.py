@@ -34,6 +34,12 @@ __all__ = [
 _POP_SUM_TOL = 1e-10
 _CROSSING_TOL = 1e-9
 
+#: Most time points a trajectory, and most values a sweep map, may hold.
+#: Larger requests raise InvalidInput before any array is allocated, so
+#: they end with exit code 2 instead of a memory error.  The arrays a
+#: Trajectory keeps take 112 bytes per time point, 1.9 GB at 2**24.
+MAX_OUTPUT_VALUES = 2**24
+
 
 def _evolve(p: SystemParams, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Amplitudes at each time, rows indexed by the time grid."""
@@ -237,10 +243,15 @@ def trajectory(
     """Propagate psi0 over `steps` evenly spaced times covering [0, t_max].
 
     Raises:
-        InvalidInput: if steps is not an integer >= 2 or t_max is not positive.
+        InvalidInput: if steps is not an integer in [2, MAX_OUTPUT_VALUES]
+            or t_max is not positive.
     """
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
         raise InvalidInput(f"steps must be an integer >= 2, got {steps!r}")
+    if steps > MAX_OUTPUT_VALUES:
+        raise InvalidInput(
+            f"steps must be at most 2**24 = {MAX_OUTPUT_VALUES}, got {steps}"
+        )
     if not t_max > 0.0:
         raise InvalidInput(f"tmax must be positive, got {t_max!r}")
     times = np.linspace(0.0, float(t_max), steps)

@@ -6,6 +6,12 @@ regenerated byte-identically from its own header.  Numeric table content
 uses fixed 6-decimal formatting.  Heatmaps are written as binary 8-bit
 portable graymaps (P5) with gray = round(255 * concurrence) and row 0 at
 the y-axis minimum.
+
+Trajectory and sweep bodies are the bulk of every output file, so they are
+formatted a block of rows at a time: one `%` operation per block of about
+`_BLOCK_VALUES` numbers instead of one `fmt6` call per number, which gives
+the same bytes in about a third of the time.  Blocks keep the temporary
+Python floats to a fixed size, whatever the size of the table.
 """
 
 from __future__ import annotations
@@ -26,6 +32,10 @@ __all__ = [
     "sweep_csv_bytes",
     "pgm_bytes",
 ]
+
+#: Numbers formatted per `%` operation in CSV bodies (rounded down to
+#: whole rows, at least one row).
+_BLOCK_VALUES = 8192
 
 
 def fmt6(x: float) -> str:
@@ -67,31 +77,38 @@ def table_csv_bytes(meta: dict, header: Sequence[str], rows: Iterable[Sequence[s
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _fmt6_blocks(*columns: np.ndarray) -> list[str]:
+    """CSV lines of `fmt6` fields, one line per row of the columns side by side.
+
+    Each column is a 1-D array or a 2-D block of columns, all with the same
+    number of rows.  The result is a list of blocks, each holding the
+    lines of consecutive rows joined by newlines.  `%.6f` is what `fmt6`
+    prints; since a `-` only starts a field and `%.6f` never prints an
+    exponent, replacing "-0.000000" in a block normalizes exactly the
+    fields that `fmt6` normalizes.
+    """
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    row_format = ",".join(["%.6f"] * width)
+    step = max(1, _BLOCK_VALUES // width)
+    blocks = []
+    for start in range(0, columns[0].shape[0], step):
+        block = np.column_stack([c[start:start + step] for c in columns])
+        text = "\n".join([row_format] * block.shape[0]) % tuple(block.ravel().tolist())
+        blocks.append(text.replace("-0.000000", "0.000000"))
+    return blocks
+
+
 def trajectory_csv_bytes(traj: Trajectory, meta: dict) -> bytes:
-    rows = (
-        [
-            fmt6(traj.times[i]),
-            fmt6(traj.populations[i, 0]),
-            fmt6(traj.populations[i, 1]),
-            fmt6(traj.populations[i, 2]),
-            fmt6(traj.populations[i, 3]),
-            fmt6(traj.concurrence[i]),
-        ]
-        for i in range(traj.times.shape[0])
-    )
-    header = ("t_ns", "P_LL", "P_LR", "P_RL", "P_RR", "concurrence")
-    return table_csv_bytes(meta, header, rows)
+    lines = metadata_lines(meta)
+    lines.append("t_ns,P_LL,P_LR,P_RL,P_RR,concurrence")
+    lines.extend(_fmt6_blocks(traj.times, traj.populations, traj.concurrence))
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def sweep_csv_bytes(grid: SweepGrid, meta: dict) -> bytes:
-    xs = grid.x_axis.values
-    ys = grid.y_axis.values
     lines = metadata_lines(meta)
-    lines.append("," + ",".join(fmt6(x) for x in xs))
-    for iy in range(ys.shape[0]):
-        lines.append(
-            fmt6(ys[iy]) + "," + ",".join(fmt6(v) for v in grid.values[iy])
-        )
+    lines.append("," + _fmt6_blocks(grid.x_axis.values[np.newaxis, :])[0])
+    lines.extend(_fmt6_blocks(grid.y_axis.values, grid.values))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

@@ -3,20 +3,28 @@
 The numeric path (`eigensystem`) works for any parameters.  At full
 resonance (both detunings zero) the Hamiltonian splits into two 2x2 Bell
 blocks and `resonant_solution` returns the exact eigenpairs; the two
-routes validate each other in the test suite.
+routes validate each other in the test suite.  Like the eigensolvers,
+the closed form works at an exact power-of-two scale when the largest of
+j and the tunnelings lies outside [2**-500, 2**500], so that squaring
+them neither overflows nor underflows.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import sqrt
+from math import ldexp, sqrt
 
 import numpy as np
 
-from .errors import NotResonant
+from .errors import NotResonant, NumericOverflow
 from .hamiltonian import SystemParams, build_positional
-from .linalg import EigenDecomposition, hermitian_eigensolve, pair_flags_to_states
+from .linalg import (
+    EigenDecomposition,
+    _scale_exponent,
+    hermitian_eigensolve,
+    pair_flags_to_states,
+)
 from .states import BELL_MATRIX, Basis, StateVector
 
 __all__ = [
@@ -135,15 +143,26 @@ class ResonantSolution:
         )
 
 
-def _branch(j: float, delta: float, coupling: float, psi_row: int, phi_row: int) -> ResonantBranch:
-    beta = sqrt(j * j + 16.0 * delta * delta)
+def _branch(
+    j: float, delta: float, coupling: float, psi_row: int, phi_row: int, exp: int
+) -> ResonantBranch:
+    """One Bell block, computed with j, delta and coupling scaled by 2**-exp."""
+    js, ds, cs = ldexp(j, -exp), ldexp(delta, -exp), ldexp(coupling, -exp)
+    beta_scaled = sqrt(js * js + 16.0 * ds * ds)
     if abs(delta) < _COUPLING_FLOOR:
         mixing = 0.0
         tilt = 0.0
     else:
-        mixing = (beta - j) / (4.0 * delta)
-        tilt = (j - beta) / (4.0 * coupling)
+        mixing = (beta_scaled - js) / (4.0 * ds)
+        tilt = (js - beta_scaled) / (4.0 * cs)
     gamma = 1.0 / sqrt(1.0 + mixing * mixing)
+    try:
+        beta = ldexp(beta_scaled, exp)
+    except OverflowError:
+        raise NumericOverflow(
+            f"beta = sqrt(j^2 + 16*delta^2) exceeds the floating-point range "
+            f"(j = {j!r}, delta = {delta!r})"
+        ) from None
     psi = BELL_MATRIX[psi_row]
     phi = BELL_MATRIX[phi_row]
     low = StateVector(gamma * (psi + tilt * phi), Basis.POSITIONAL)
@@ -163,16 +182,25 @@ def _branch(j: float, delta: float, coupling: float, psi_row: int, phi_row: int)
 def resonant_solution(p: SystemParams) -> ResonantSolution:
     """Exact eigenpairs of both Bell blocks; requires eps1 = eps2 = 0.
 
+    Couplings out of [2**-500, 2**500] are solved at an exact power-of-two
+    scale; inside that range the scale is 1 and changes no bit.
+
     Raises:
         NotResonant: if either detuning is nonzero.
+        NumericOverflow: if a block's beta does not fit a double.
     """
     if classify_resonance(p) is not ResonanceKind.FULL_RESONANCE:
         raise NotResonant(
             f"closed-form solution needs eps1 = eps2 = 0, got "
             f"({p.eps1!r}, {p.eps2!r})"
         )
-    minus = _branch(p.j, p.delta_minus, (p.delta2 - p.delta1) / 2.0, psi_row=0, phi_row=1)
-    plus = _branch(p.j, p.delta_plus, (p.delta1 + p.delta2) / 2.0, psi_row=2, phi_row=3)
+    exp = int(_scale_exponent(max(p.j, abs(p.delta1), abs(p.delta2))))
+    minus = _branch(
+        p.j, p.delta_minus, (p.delta2 - p.delta1) / 2.0, psi_row=0, phi_row=1, exp=exp
+    )
+    plus = _branch(
+        p.j, p.delta_plus, (p.delta1 + p.delta2) / 2.0, psi_row=2, phi_row=3, exp=exp
+    )
     return ResonantSolution(minus=minus, plus=plus)
 
 

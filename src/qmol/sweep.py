@@ -15,7 +15,7 @@ from math import isfinite
 
 import numpy as np
 
-from .dynamics import trajectory
+from .dynamics import MAX_OUTPUT_VALUES, trajectory
 from .entanglement import concurrence_from_amplitudes
 from .errors import InvalidInput, NotResonant
 from .hamiltonian import SystemParams, _positional_matrices
@@ -71,6 +71,15 @@ class Axis:
         return np.linspace(self.minimum, self.maximum, self.count)
 
 
+def _check_size(x_axis: Axis, y_axis: Axis) -> None:
+    """InvalidInput if a map over the two axes exceeds MAX_OUTPUT_VALUES values."""
+    if x_axis.count * y_axis.count > MAX_OUTPUT_VALUES:
+        raise InvalidInput(
+            f"a map of {y_axis.count} x {x_axis.count} values exceeds the "
+            f"limit of 2**24 = {MAX_OUTPUT_VALUES} values"
+        )
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Concurrence values on a 2-D grid.
@@ -114,6 +123,10 @@ def eigen_concurrence_map(
     The cells are solved in blocks by `symmetric_eigensolve_batch`; each
     value and mask entry equals what `hermitian_eigensolve` and
     `concurrence_pure` give for that cell alone.
+
+    Raises:
+        InvalidInput: for a state index outside 0..3, a map of more than
+            MAX_OUTPUT_VALUES cells, or a grid where eps1 + eps2 overflows.
     """
     if state_index not in (0, 1, 2, 3):
         raise InvalidInput(f"state_index must be 0..3, got {state_index!r}")
@@ -121,17 +134,23 @@ def eigen_concurrence_map(
     hi = base.j if eps_max is None else float(eps_max)
     x_axis = Axis("eps1", lo, hi, eps_steps, "ueV")
     y_axis = Axis("eps2", lo, hi, eps_steps, "ueV")
+    _check_size(x_axis, y_axis)
     xs = x_axis.values
     ys = y_axis.values
+    # the largest |eps1 + eps2| is 2 * max|x|, on the diagonal; below it
+    # no entry of a cell's matrix overflows
+    if not isfinite(2.0 * float(np.abs(xs).max())):
+        raise InvalidInput(
+            f"eigen map grid [{lo!r}, {hi!r}] is too large: the detuning sum "
+            f"eps1 + eps2 overflows"
+        )
     cells = eps_steps * eps_steps
     values = np.empty(cells)
     mask = np.empty(cells, dtype=bool)
     for start in range(0, cells, _BLOCK_CELLS):
         stop = min(start + _BLOCK_CELLS, cells)
         iy, ix = np.divmod(np.arange(start, stop), eps_steps)
-        # an entry that overflows fails the solver's finiteness check
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = _positional_matrices(xs[ix], ys[iy], base.delta1, base.delta2, base.j)
+        h = _positional_matrices(xs[ix], ys[iy], base.delta1, base.delta2, base.j)
         _, vectors, pairs = symmetric_eigensolve_batch(h)
         values[start:stop] = concurrence_from_amplitudes(vectors[:, :, state_index])
         mask[start:stop] = pair_flags_to_states(pairs.T)[state_index]
@@ -165,6 +184,7 @@ def dynamics_tunneling_map(
         )
     x_axis = Axis("t", 0.0, float(t_max), t_steps, "ns")
     y_axis = Axis("ratio", float(ratio_min), float(ratio_max), ratio_steps, "")
+    _check_size(x_axis, y_axis)
     values = np.empty((ratio_steps, t_steps))
     for iy, ratio in enumerate(y_axis.values):
         p = replace(base, delta1=float(ratio) * base.j, delta2=float(ratio) * base.j)
@@ -196,6 +216,7 @@ def dynamics_detuning_map(
         )
     x_axis = Axis("t", 0.0, float(t_max), t_steps, "ns")
     y_axis = Axis("eps1", float(eps_min), float(eps_max), eps_steps, "ueV")
+    _check_size(x_axis, y_axis)
     values = np.empty((eps_steps, t_steps))
     for iy, e1 in enumerate(y_axis.values):
         p = replace(base, eps1=float(e1), eps2=sign * float(e1))

@@ -1,3 +1,5 @@
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -245,6 +247,20 @@ def test_grid_with_overflowing_span_exits_2_without_warnings(capsys):
     assert err.startswith("error: axis 'eps1'") and "finite" in err
 
 
+def test_eigen_grid_with_overflowing_detuning_sum_exits_2(capsys):
+    # the span is finite, but eps1 + eps2 is not on the diagonal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "sweep", "eigen", "--grid=1e308:1.7e308:3")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "grid [1e+308, 1.7e+308]" in err and "overflows" in err
+        # the largest grid whose sums fit is still solved
+        code, out, err = run(capsys, "sweep", "eigen", "--grid=-8.9e307:8.9e307:3")
+        assert code == 0 and err == ""
+
+
 def test_spectrum_at_huge_energies(capsys):
     code, out, err = run(capsys, "spectrum", "--j", "1e300", "--d1", "1e300")
     assert code == 0, err
@@ -274,6 +290,13 @@ def test_rejects_nonpositive_coupling(capsys):
         ["sweep", "detuning-dynamics", "--steps", "1", "--grid=-1:1:3"],
         ["bell-times", "--n", "0"],
         ["sweep", "tunneling-dynamics", "--e1", "1e-13"],
+        # output size caps (2**24 values), checked before any allocation
+        ["dynamics", "--steps", "16777217"],
+        ["dynamics", "--steps", "100000000000"],
+        ["sweep", "eigen", "--grid=-1:1:4097"],
+        ["sweep", "eigen", "--grid=-1:1:10000000000"],
+        ["sweep", "tunneling-dynamics", "--steps", "16777216", "--grid", "0:1:2"],
+        ["sweep", "detuning-dynamics", "--steps", "8388609", "--grid=-1:1:2"],
     ],
 )
 def test_library_argument_checks_exit_2(argv, capsys):
@@ -319,3 +342,49 @@ def test_config_from_metadata_round_trip_values():
          for k, v in _metadata(config).items()}
     )
     assert rebuilt == config
+
+
+EIGEN_MAP = ["sweep", "eigen", "--d1", "1.5625", "--d2", "1.5625", "--state", "1"]
+
+
+def _fresh_sweep_bytes(tmp_path, grid):
+    csv, pgm = tmp_path / f"fresh-{grid}.csv", tmp_path / f"fresh-{grid}.pgm"
+    assert main(EIGEN_MAP + [f"--grid={grid}", "--out", str(csv), "--pgm", str(pgm)]) == 0
+    return csv.read_bytes(), pgm.read_bytes()
+
+
+def test_shorter_rewrite_leaves_no_stale_tail(tmp_path):
+    csv, pgm = tmp_path / "map.csv", tmp_path / "map.pgm"
+    for grid in ("-25:25:9", "-25:25:3"):
+        assert main(EIGEN_MAP + [f"--grid={grid}", "--out", str(csv), "--pgm", str(pgm)]) == 0
+    assert (csv.read_bytes(), pgm.read_bytes()) == _fresh_sweep_bytes(tmp_path, "-25:25:3")
+
+
+def test_out_to_dev_null(capsys):
+    code, out, err = run(capsys, "dynamics", "--steps", "5", "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+
+
+def test_out_through_symlink_keeps_the_link(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"x" * 100_000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(EIGEN_MAP + ["--grid=-25:25:3", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == _fresh_sweep_bytes(tmp_path, "-25:25:3")[0]
+
+
+def test_rewrite_keeps_permission_bits(tmp_path):
+    out = tmp_path / "run.csv"
+    out.write_bytes(b"old")
+    out.chmod(0o640)
+    assert main(["dynamics", "--steps", "5", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_bytes().startswith(b"# command = dynamics")
+
+
+def test_out_and_pgm_on_one_path_leave_the_pgm(tmp_path):
+    both = tmp_path / "both"
+    assert main(EIGEN_MAP + ["--grid=-25:25:3", "--out", str(both), "--pgm", str(both)]) == 0
+    assert both.read_bytes() == _fresh_sweep_bytes(tmp_path, "-25:25:3")[1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmol.dynamics import (
+    MAX_OUTPUT_VALUES,
     analytic_populations,
     bell_condition,
     propagate,
@@ -9,7 +10,7 @@ from qmol.dynamics import (
     trajectory,
 )
 from qmol.entanglement import concurrence_pure
-from qmol.errors import NoRealSolution, NotResonant
+from qmol.errors import InvalidInput, NoRealSolution, NotResonant
 from qmol.hamiltonian import SystemParams
 from qmol.states import Basis, StateVector, basis_state
 from qmol.units import HBAR_UEV_NS
@@ -224,6 +225,8 @@ def test_trajectory_rejects_bad_grid():
         trajectory(p, basis_state("RL"), 1.0, 1)
     with pytest.raises(ValueError):
         trajectory(p, basis_state("RL"), 1.0, 2.5)
+    with pytest.raises(InvalidInput, match=r"2\*\*24"):
+        trajectory(p, basis_state("RL"), 1.0, MAX_OUTPUT_VALUES + 1)
 
 
 def test_trajectory_accepts_bell_initial_state():

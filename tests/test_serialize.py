@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,77 @@ def test_outputs_are_ascii_bytes():
     data = table_csv_bytes({"x": 1.0}, ("c",), [("0.000000",)])
     assert isinstance(data, bytes)
     data.decode("ascii")
+
+
+# The per-value formatting the block formatter replaced, kept as its reference.
+def reference_trajectory_csv(traj, meta):
+    rows = (
+        [fmt6(traj.times[i])]
+        + [fmt6(v) for v in traj.populations[i]]
+        + [fmt6(traj.concurrence[i])]
+        for i in range(traj.times.shape[0])
+    )
+    header = ("t_ns", "P_LL", "P_LR", "P_RL", "P_RR", "concurrence")
+    return table_csv_bytes(meta, header, rows)
+
+
+def reference_sweep_csv(grid, meta):
+    lines = metadata_lines(meta)
+    lines.append("," + ",".join(fmt6(x) for x in grid.x_axis.values))
+    for y, row in zip(grid.y_axis.values, grid.values):
+        lines.append(fmt6(y) + "," + ",".join(fmt6(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+EDGE_VALUES = [
+    0.0, -0.0, -1e-7, -4.9999999e-7, -5e-7, -5.0000001e-7, 5e-7, 0.9999995,
+    -0.9999995, 5e-324, -5e-324, 1e300, -1e300, float("inf"), float("-inf"),
+    float("nan"),
+]
+
+
+def _values(rng, shape):
+    """Edge values first, then random signs and magnitudes 1e-12..1e12."""
+    random = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-12, 12, shape)
+    flat = random.ravel()
+    flat[: len(EDGE_VALUES)] = EDGE_VALUES[: flat.size]
+    return flat.reshape(shape)
+
+
+def _grid(rng, rows, cols):
+    return SimpleNamespace(
+        x_axis=SimpleNamespace(values=_values(rng, cols)),
+        y_axis=SimpleNamespace(values=_values(rng, rows)[::-1].copy()),
+        values=_values(rng, (rows, cols)),
+    )
+
+
+@pytest.mark.parametrize("steps", [1, 2, 40, 3000])
+def test_trajectory_csv_matches_per_value_reference(steps):
+    rng = np.random.default_rng(steps)
+    traj = SimpleNamespace(
+        times=_values(rng, steps),
+        populations=_values(rng, (steps, 4))[::-1],
+        concurrence=_values(rng, steps),
+    )
+    meta = {"command": "dynamics"}
+    assert trajectory_csv_bytes(traj, meta) == reference_trajectory_csv(traj, meta)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(1, 30), (30, 2), (40, 40), (3, 9000)],
+    ids=["one-row", "two-columns", "square", "wider-than-a-block"],
+)
+def test_sweep_csv_matches_per_value_reference(rows, cols):
+    grid = _grid(np.random.default_rng(rows * cols), rows, cols)
+    meta = {"kind": "eigen"}
+    assert sweep_csv_bytes(grid, meta) == reference_sweep_csv(grid, meta)
+
+
+def test_csv_matches_reference_on_real_outputs():
+    p = SystemParams(delta1=3.0, delta2=1.0, j=25.0)
+    traj = trajectory(p, basis_state("LR"), 2.0, 2001)
+    assert trajectory_csv_bytes(traj, {}) == reference_trajectory_csv(traj, {})
+    grid = eigen_concurrence_map(p, 2, -30.0, 30.0, 51)
+    assert sweep_csv_bytes(grid, {}) == reference_sweep_csv(grid, {})

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from qmol.errors import NotResonant
+from qmol.errors import NotResonant, NumericOverflow
 from qmol.hamiltonian import SystemParams, build_positional
 from qmol.spectrum import (
     ResonanceKind,
@@ -103,6 +105,27 @@ def test_zero_tunneling_limit_recovers_bell_states():
     for state, label in zip(sol.states, labels):
         assert abs(state.overlap(basis_state(label))) == pytest.approx(1.0, abs=1e-14)
     assert np.array_equal(sol.energies, [-6.25, 6.25, -6.25, 6.25])
+
+
+@pytest.mark.parametrize("delta1", [0.0, 1e160])
+def test_resonant_solution_at_huge_scale_matches_numerics(delta1):
+    p = SystemParams(j=1e160, delta1=delta1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = resonant_solution(p)
+    numeric = eigensystem(p).energies
+    assert np.all(np.abs(np.sort(sol.energies) - numeric) <= 1e-12 * np.abs(numeric))
+    # both spectra are doubly degenerate, so compare states as eigenvectors
+    h = build_positional(p)
+    for energy, state in zip(sol.energies, sol.states):
+        resid = h @ state.amplitudes - energy * state.amplitudes
+        assert np.abs(resid).max() <= 1e-12 * abs(energy)
+
+
+def test_resonant_solution_beyond_double_range_raises():
+    # beta = sqrt(j^2 + 16 delta_plus^2) is about 3.4e308
+    with pytest.raises(NumericOverflow):
+        resonant_solution(SystemParams(j=1.5e308, delta1=1.5e308))
 
 
 def test_requires_full_resonance():
