@@ -13,6 +13,9 @@ defaults (j = 25 ueV, detunings and tunnelings 0).  Config files are
 line-oriented `key = value` text with `#` comments.  Every CSV starts
 with a `# key = value` header that fully reproduces the run; exit codes
 are 0 (ok), 2 (bad input), 3 (numeric failure), 4 (no solution).
+Flags, config files and CSV headers are read by one function,
+`_run_config`, which only converts text; each range is checked by the
+library function that uses the value.
 
 Output files are rewritten in place: `_emit` opens an existing file
 without truncating it, writes the new bytes over the old ones and then
@@ -47,14 +50,13 @@ from .serialize import (
     trajectory_csv_bytes,
 )
 from .spectrum import eigensystem
-from .states import BELL_DISPLAY, BELL_LABELS, POSITIONAL_LABELS, basis_state
+from .states import BELL_DISPLAY, basis_state
 from .sweep import dynamics_detuning_map, dynamics_tunneling_map, eigen_concurrence_map
 from .verify import run_all
 
 __all__ = ["RunConfig", "main", "build_config", "config_from_metadata"]
 
 SWEEP_KINDS = ("eigen", "tunneling-dynamics", "detuning-dynamics")
-_STATE_LABELS = POSITIONAL_LABELS + BELL_LABELS
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,9 @@ class RunConfig:
 
 def _float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
-    if not np.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {text!r}")
-    return value
 
 
 def _int(text: str) -> int:
@@ -93,15 +92,9 @@ def _int(text: str) -> int:
         raise ConfigError(f"expected an integer, got {text!r}") from None
 
 
-def _label(text: str) -> str:
-    if text not in _STATE_LABELS:
-        raise ConfigError(
-            f"unknown state label {text!r}; choose from {', '.join(_STATE_LABELS)}"
-        )
-    return text
-
-
 def _kind(text: str) -> str:
+    # checked here, not where it is used: render_sweep runs every
+    # unknown kind as detuning-dynamics
     if text not in SWEEP_KINDS:
         raise ConfigError(
             f"unknown sweep kind {text!r}; choose from {', '.join(SWEEP_KINDS)}"
@@ -109,34 +102,17 @@ def _kind(text: str) -> str:
     return text
 
 
-def _state_index(text: str) -> int:
-    value = _int(text)
-    if value not in (0, 1, 2, 3):
-        raise ConfigError(f"state index must be 0..3, got {text!r}")
-    return value
-
-
-def _sign(text: str) -> int:
-    if text in ("+1", "1"):
-        return 1
-    if text == "-1":
-        return -1
-    raise ConfigError(f"sign must be +1 or -1, got {text!r}")
-
-
 def _grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be MIN:MAX:COUNT, got {text!r}")
-    lo, hi = _float(parts[0]), _float(parts[1])
-    count = _int(parts[2])
-    if count < 2:
-        raise ConfigError(f"grid needs at least 2 points, got {count}")
-    if not hi > lo:
-        raise ConfigError(f"grid needs MAX > MIN, got {text!r}")
-    return lo, hi, count
+    return _float(parts[0]), _float(parts[1]), _int(parts[2])
 
 
+#: Text-to-value conversion of every flag, config-file and CSV-header key.
+#: Ranges are not checked here but by the library function that uses the
+#: value, which raises InvalidInput; a key the command does not use is
+#: parsed and otherwise ignored.
 _CONVERTERS = {
     "j": _float,
     "d1": _float,
@@ -144,12 +120,12 @@ _CONVERTERS = {
     "e1": _float,
     "e2": _float,
     "ratio": _float,
-    "init": _label,
+    "init": str,
     "tmax": _float,
     "steps": _int,
     "kind": _kind,
-    "state": _state_index,
-    "sign": _sign,
+    "state": _int,
+    "sign": _int,
     "grid": _grid,
     "n": _int,
     "m": _int,
@@ -157,9 +133,15 @@ _CONVERTERS = {
     "pgm": str,
 }
 
+#: Keys that become SystemParams fields rather than RunConfig fields.
+_PARAM_FIELDS = {"j": "j", "e1": "eps1", "e2": "eps2", "d1": "delta1", "d2": "delta2"}
+
 #: ratio is shorthand for equal tunnelings; giving either side on the
 #: command line overrides the whole group from the config file.
 _TUNNELING_KEYS = ("ratio", "d1", "d2")
+
+#: Keys every CSV header has; the others default as in RunConfig.
+_HEADER_KEYS = ("command", "j", "e1", "e2", "d1", "d2")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -183,13 +165,23 @@ def _read_config_file(path: str) -> dict[str, str]:
     return raw
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags, config file, and defaults into a RunConfig.
+def _run_config(command: str, raw: dict[str, str]) -> RunConfig:
+    """The RunConfig of `command` from `key = value` text; absent keys default."""
+    if "ratio" in raw and ("d1" in raw or "d2" in raw):
+        raise ConfigError("--ratio conflicts with --d1/--d2; give one or the other")
+    values = {key: _CONVERTERS[key](text) for key, text in raw.items()}
+    physical = {
+        field: values.pop(key) for key, field in _PARAM_FIELDS.items() if key in values
+    }
+    if "ratio" in values:
+        params = SystemParams.from_ratio(values.pop("ratio"), **physical)
+    else:
+        params = SystemParams(**physical)
+    return RunConfig(command=command, params=params, **values)
 
-    Only text parsing and SystemParams checks happen here; the ranges a
-    command needs (steps, tmax, n, m, resonance) are checked by the
-    library function it calls, which raises InvalidInput.
-    """
+
+def build_config(args: argparse.Namespace) -> RunConfig:
+    """Merge flags over config-file keys into a RunConfig."""
     flag_raw = {
         key: value
         for key, value in vars(args).items()
@@ -199,45 +191,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if any(key in flag_raw for key in _TUNNELING_KEYS):
         for key in _TUNNELING_KEYS:
             file_raw.pop(key, None)
-    raw = file_raw | flag_raw
-    if "ratio" in raw and ("d1" in raw or "d2" in raw):
-        raise ConfigError("--ratio conflicts with --d1/--d2; give one or the other")
-
-    values: dict = {}
-    for key, text in raw.items():
-        values[key] = _CONVERTERS[key](text)
-
-    if "ratio" in values:
-        params = SystemParams.from_ratio(
-            values["ratio"],
-            j=values.get("j", 25.0),
-            eps1=values.get("e1", 0.0),
-            eps2=values.get("e2", 0.0),
-        )
-    else:
-        params = SystemParams(
-            eps1=values.get("e1", 0.0),
-            eps2=values.get("e2", 0.0),
-            delta1=values.get("d1", 0.0),
-            delta2=values.get("d2", 0.0),
-            j=values.get("j", 25.0),
-        )
-
-    return RunConfig(
-        command=args.command,
-        params=params,
-        init=values.get("init", "RL"),
-        tmax=values.get("tmax", 3.0),
-        steps=values.get("steps", 301),
-        kind=values.get("kind", "eigen"),
-        state=values.get("state", 1),
-        sign=values.get("sign", 1),
-        grid=values.get("grid"),
-        n=values.get("n", 1),
-        m=values.get("m", 1),
-        out=values.get("out"),
-        pgm=values.get("pgm"),
-    )
+    return _run_config(args.command, file_raw | flag_raw)
 
 
 def _resolved_grid(config: RunConfig) -> tuple[float, float, int]:
@@ -273,33 +227,16 @@ def _metadata(config: RunConfig) -> dict:
 
 def config_from_metadata(meta: dict[str, str]) -> RunConfig:
     """Rebuild the RunConfig a CSV header was written from."""
-    try:
-        command = meta["command"]
-        params = SystemParams(
-            eps1=float(meta["e1"]),
-            eps2=float(meta["e2"]),
-            delta1=float(meta["d1"]),
-            delta2=float(meta["d2"]),
-            j=float(meta["j"]),
+    missing = [key for key in _HEADER_KEYS if key not in meta]
+    if missing:
+        raise ConfigError(
+            f"incomplete or invalid metadata header: missing {', '.join(missing)}"
         )
-        extra: dict = {}
-        if "kind" in meta:
-            extra["kind"] = _kind(meta["kind"])
-        if "grid" in meta:
-            extra["grid"] = _grid(meta["grid"])
-        if "state" in meta:
-            extra["state"] = _state_index(meta["state"])
-        if "sign" in meta:
-            extra["sign"] = _sign(meta["sign"])
-        if "init" in meta:
-            extra["init"] = _label(meta["init"])
-        if "tmax" in meta:
-            extra["tmax"] = _float(meta["tmax"])
-        if "steps" in meta:
-            extra["steps"] = _int(meta["steps"])
-    except (KeyError, ValueError) as exc:
+    raw = {key: value for key, value in meta.items() if key in _CONVERTERS}
+    try:
+        return _run_config(meta["command"], raw)
+    except InvalidInput as exc:
         raise ConfigError(f"incomplete or invalid metadata header: {exc}") from None
-    return RunConfig(command=command, params=params, **extra)
 
 
 def render_spectrum(config: RunConfig) -> bytes:

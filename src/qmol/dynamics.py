@@ -9,15 +9,21 @@ place where energies are converted to angular frequencies via hbar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, cos, pi, sqrt
+from math import ceil, cos, inf, isfinite, ldexp, pi, sqrt
 
 import numpy as np
 
 from .entanglement import concurrence_from_amplitudes
-from .errors import ConvergenceError, InvalidInput, NoRealSolution, NotResonant
+from .errors import (
+    ConvergenceError,
+    InvalidInput,
+    NoRealSolution,
+    NotResonant,
+    NumericOverflow,
+)
 from .hamiltonian import SystemParams, build_positional
-from .linalg import hermitian_eigensolve
-from .spectrum import ResonanceKind, classify_resonance
+from .linalg import _scale_exponent, hermitian_eigensolve
+from .spectrum import ResonanceKind, classify_resonance, resonant_solution
 from .states import Basis, StateVector
 from .units import HBAR_UEV_NS
 
@@ -95,6 +101,9 @@ def analytic_populations(p: SystemParams, t):
     oscillate with the two angular frequencies beta_{+-}/(4*hbar) where
     beta_{+-} = sqrt(j^2 + 16*delta_{+-}^2).
 
+    The betas are those of `resonant_solution`, so they do not overflow
+    for couplings whose squares do.
+
     Raises:
         NotResonant: if either detuning is nonzero.
     """
@@ -104,8 +113,9 @@ def analytic_populations(p: SystemParams, t):
             f"({p.eps1!r}, {p.eps2!r})"
         )
     t = np.asarray(t, dtype=float)
-    beta_p = sqrt(p.j**2 + 16.0 * p.delta_plus**2)
-    beta_m = sqrt(p.j**2 + 16.0 * p.delta_minus**2)
+    solution = resonant_solution(p)
+    beta_p = solution.plus.beta
+    beta_m = solution.minus.beta
     theta_p = (beta_p / 4.0) * t / HBAR_UEV_NS
     theta_m = (beta_m / 4.0) * t / HBAR_UEV_NS
     sp, cp = np.sin(theta_p), np.cos(theta_p)
@@ -158,10 +168,14 @@ class BellCondition:
 def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
     """Solve for the equal-tunneling ratio that makes both blocks commensurate.
 
+    beta_plus is computed at the power-of-two scale of j and delta1, as
+    `resonant_solution` does, so j may span the whole double range.
+
     Raises:
         InvalidInput: if n or m are not positive integers, m is even, or
-            j is not positive.
+            j is not positive and finite.
         NoRealSolution: if m >= 2n, where the ratio formula turns imaginary.
+        NumericOverflow: if beta_plus or t_e does not fit a double.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidInput(f"n must be a positive integer, got {n!r}")
@@ -170,26 +184,37 @@ def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
     if m % 2 == 0:
         raise InvalidInput(f"m must be odd, got {m}")
     j = float(j)
-    if not j > 0.0:
-        raise InvalidInput(f"j must be positive, got {j!r}")
+    if not (j > 0.0 and isfinite(j)):
+        raise InvalidInput(f"j must be positive and finite, got {j!r}")
     if m >= 2 * n:
         raise NoRealSolution(
             f"no real tunneling ratio for n={n}, m={m}: requires m < 2n"
         )
     ratio = 0.25 * sqrt(4.0 * n * n / (m * m) - 1.0)
-    delta1 = ratio * j
-    delta = delta1  # delta_plus with delta1 = delta2; delta_minus is 0
-    beta_plus = sqrt(j * j + 16.0 * delta * delta)
+    delta1 = ratio * j  # delta_plus with delta1 = delta2; delta_minus is 0
+    exp = int(_scale_exponent(max(j, delta1)))
+    js, ds = ldexp(j, -exp), ldexp(delta1, -exp)
+    try:
+        beta_plus = ldexp(sqrt(js * js + 16.0 * ds * ds), exp)
+    except OverflowError:
+        beta_plus = inf
     beta_minus = j
     omega_plus = beta_plus / 4.0
     omega_minus = beta_minus / 4.0
-    t_e = n * pi * HBAR_UEV_NS / omega_plus
-    t_e_check = m * pi * HBAR_UEV_NS / (2.0 * omega_minus)
-    if abs(t_e - t_e_check) > 1e-12:
+    # n*pi*hbar/omega_plus and m*pi*hbar/(2*omega_minus), the same bits
+    # where the omegas are normal, but with no division by an underflown one
+    t_e = 4.0 * n * pi * HBAR_UEV_NS / beta_plus
+    if not (isfinite(beta_plus) and isfinite(t_e)):
+        raise NumericOverflow(
+            f"the Bell condition for n = {n}, m = {m}, j = {j!r} does not fit a "
+            f"double: beta_plus = {beta_plus!r} ueV, t_e = {t_e!r} ns"
+        )
+    t_e_check = 2.0 * m * pi * HBAR_UEV_NS / beta_minus
+    if not abs(t_e - t_e_check) <= 1e-12 * t_e:
         raise ConvergenceError(
             f"inconsistent Bell time: {t_e!r} vs {t_e_check!r}"
         )
-    if abs(cos(omega_minus * t_e / HBAR_UEV_NS)) > _CROSSING_TOL:
+    if not abs(cos(omega_minus * t_e / HBAR_UEV_NS)) <= _CROSSING_TOL:
         raise ConvergenceError("minus-block quarter-period check failed at t_e")
     return BellCondition(
         n=n,
@@ -224,7 +249,8 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         sums = self.populations.sum(axis=1)
-        if float(np.abs(sums - 1.0).max()) > _POP_SUM_TOL:
+        # written so that NaN fails it
+        if not float(np.abs(sums - 1.0).max()) <= _POP_SUM_TOL:
             raise ConvergenceError("propagation lost normalization beyond 1e-10")
         for arr in (self.times, self.amplitudes, self.populations, self.concurrence):
             arr.setflags(write=False)
@@ -244,7 +270,7 @@ def trajectory(
 
     Raises:
         InvalidInput: if steps is not an integer in [2, MAX_OUTPUT_VALUES]
-            or t_max is not positive.
+            or t_max is not positive and finite.
     """
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
         raise InvalidInput(f"steps must be an integer >= 2, got {steps!r}")
@@ -252,8 +278,8 @@ def trajectory(
         raise InvalidInput(
             f"steps must be at most 2**24 = {MAX_OUTPUT_VALUES}, got {steps}"
         )
-    if not t_max > 0.0:
-        raise InvalidInput(f"tmax must be positive, got {t_max!r}")
+    if not (t_max > 0.0 and isfinite(t_max)):
+        raise InvalidInput(f"tmax must be positive and finite, got {t_max!r}")
     times = np.linspace(0.0, float(t_max), steps)
     amps = _evolve(p, psi0.to_positional().amplitudes, times)
     return Trajectory(

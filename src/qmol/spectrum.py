@@ -37,7 +37,6 @@ __all__ = [
     "classify_resonance",
 ]
 
-_COUPLING_FLOOR = 1e-12
 _CLASSIFY_TOL = 1e-12
 
 
@@ -86,8 +85,9 @@ class ResonantBranch:
     The block over {|Psi_s>, |Phi_s>} is [[-j/4, a], [a, j/4]] with
     coupling a = (delta2 - delta1)/2 for the odd (s = minus) block and
     a = (delta1 + delta2)/2 for the even (s = plus) block.  `mixing` is
-    the low-branch coefficient (beta - j)/(4*delta) built from the
-    block's tunneling scale delta (delta_minus or delta_plus); the
+    the low-branch coefficient (beta - j)/(4*delta) = 4*delta/(beta + j)
+    built from the block's tunneling scale delta (delta_minus or
+    delta_plus), computed in the second form; the
     stored states are exact eigenvectors, so their internal mixing sign
     follows the sign of the actual coupling a.
 
@@ -149,12 +149,10 @@ def _branch(
     """One Bell block, computed with j, delta and coupling scaled by 2**-exp."""
     js, ds, cs = ldexp(j, -exp), ldexp(delta, -exp), ldexp(coupling, -exp)
     beta_scaled = sqrt(js * js + 16.0 * ds * ds)
-    if abs(delta) < _COUPLING_FLOOR:
-        mixing = 0.0
-        tilt = 0.0
-    else:
-        mixing = (beta_scaled - js) / (4.0 * ds)
-        tilt = (js - beta_scaled) / (4.0 * cs)
+    # (beta - j) / (4*delta) without the cancellation in beta - j; both
+    # vanish with delta, with no division by it.  |coupling| = |delta|.
+    mixing = 4.0 * ds / (beta_scaled + js)
+    tilt = -4.0 * cs / (beta_scaled + js)
     gamma = 1.0 / sqrt(1.0 + mixing * mixing)
     try:
         beta = ldexp(beta_scaled, exp)

@@ -16,7 +16,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import NotNormalized
+from .errors import InvalidInput, NotNormalized
 
 __all__ = [
     "Basis",
@@ -112,6 +112,9 @@ def basis_state(label: str) -> StateVector:
     Positional labels (LL, LR, RL, RR) give positional-basis unit vectors;
     Bell labels (PsiMinus, PhiMinus, PsiPlus, PhiPlus) give the
     corresponding Bell state expressed in the positional basis.
+
+    Raises:
+        InvalidInput: for any other label.
     """
     amps = np.zeros(4, dtype=complex)
     if label in POSITIONAL_LABELS:
@@ -119,7 +122,7 @@ def basis_state(label: str) -> StateVector:
         return StateVector(amps, Basis.POSITIONAL)
     if label in BELL_LABELS:
         return StateVector(BELL_MATRIX[BELL_LABELS.index(label)], Basis.POSITIONAL)
-    raise ValueError(
-        f"unknown state label {label!r}; expected one of "
-        f"{POSITIONAL_LABELS + BELL_LABELS}"
+    raise InvalidInput(
+        f"unknown state label {label!r}; choose from "
+        f"{', '.join(POSITIONAL_LABELS + BELL_LABELS)}"
     )

@@ -13,6 +13,7 @@ from qmol.cli import (
     render_dynamics,
     render_sweep,
 )
+from qmol.errors import ConfigError
 from qmol.hamiltonian import SystemParams
 from qmol.serialize import parse_metadata
 from qmol.spectrum import resonant_solution
@@ -105,6 +106,15 @@ def test_bell_times_second_branch(capsys):
     assert code == 0
     values = dict(line.split(" = ") for line in out.splitlines())
     assert values["ratio"] == "0.968246"
+    assert values["concurrence_at_t_e"] == "1.000000"
+
+
+@pytest.mark.parametrize("j", ["1e300", "1e-300"])
+def test_bell_times_at_extreme_couplings(j, capsys):
+    code, out, err = run(capsys, "bell-times", "--j", j)
+    assert (code, err) == (0, "")
+    values = dict(line.split(" = ") for line in out.splitlines())
+    assert values["ratio"] == "0.433013"
     assert values["concurrence_at_t_e"] == "1.000000"
 
 
@@ -208,6 +218,20 @@ def test_flag_tunneling_group_overrides_config_ratio(tmp_path, capsys):
     assert float(meta["d1"]) == 2.0 and float(meta["d2"]) == 2.0
 
 
+def test_config_key_range_is_checked_where_it_is_used(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("state = 7\n")
+    # spectrum does not use state: the key is parsed, not range-checked
+    code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "spectrum")[1]
+    code, _, err = run(capsys, "sweep", "eigen", "--grid=-1:1:3", "--config", str(cfg))
+    assert code == 2 and "state_index must be 0..3" in err
+    cfg.write_text("state = seven\n")
+    code, _, err = run(capsys, "spectrum", "--config", str(cfg))
+    assert code == 2 and "expected an integer" in err
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("jj = 20\n")
@@ -297,6 +321,16 @@ def test_rejects_nonpositive_coupling(capsys):
         ["sweep", "eigen", "--grid=-1:1:10000000000"],
         ["sweep", "tunneling-dynamics", "--steps", "16777216", "--grid", "0:1:2"],
         ["sweep", "detuning-dynamics", "--steps", "8388609", "--grid=-1:1:2"],
+        # ranges the CLI leaves to the library
+        ["sweep", "eigen", "--grid", "2:1:5"],
+        ["sweep", "eigen", "--grid", "1:2:1"],
+        ["sweep", "eigen", "--grid=1:inf:3"],
+        ["sweep", "eigen", "--state", "-1"],
+        ["sweep", "detuning-dynamics", "--sign", "2", "--steps", "3", "--grid=-1:1:3"],
+        ["dynamics", "--init", "XX"],
+        ["dynamics", "--tmax", "inf"],
+        ["spectrum", "--d1", "nan"],
+        ["bell-times", "--j", "inf"],
     ],
 )
 def test_library_argument_checks_exit_2(argv, capsys):
@@ -342,6 +376,21 @@ def test_config_from_metadata_round_trip_values():
          for k, v in _metadata(config).items()}
     )
     assert rebuilt == config
+
+
+def test_config_from_metadata_rejects_bad_headers():
+    header = {"command": "spectrum", "j": "25.0", "e1": "0.0", "e2": "0.0",
+              "d1": "0.0", "d2": "0.0"}
+    assert config_from_metadata(header) == RunConfig("spectrum", SystemParams())
+    for key in header:
+        with pytest.raises(ConfigError, match=f"missing {key}"):
+            config_from_metadata({k: v for k, v in header.items() if k != key})
+    with pytest.raises(ConfigError, match="metadata header: j must be positive"):
+        config_from_metadata(header | {"j": "-1.0"})
+    with pytest.raises(ConfigError, match="metadata header: expected an integer"):
+        config_from_metadata(header | {"steps": "many"})
+    # keys the reader does not know are not part of the run
+    assert config_from_metadata(header | {"note": "x"}) == config_from_metadata(header)
 
 
 EIGEN_MAP = ["sweep", "eigen", "--d1", "1.5625", "--d2", "1.5625", "--state", "1"]

@@ -3,6 +3,7 @@ import pytest
 
 from qmol.dynamics import (
     MAX_OUTPUT_VALUES,
+    Trajectory,
     analytic_populations,
     bell_condition,
     propagate,
@@ -10,7 +11,13 @@ from qmol.dynamics import (
     trajectory,
 )
 from qmol.entanglement import concurrence_pure
-from qmol.errors import InvalidInput, NoRealSolution, NotResonant
+from qmol.errors import (
+    ConvergenceError,
+    InvalidInput,
+    NoRealSolution,
+    NotResonant,
+    NumericOverflow,
+)
 from qmol.hamiltonian import SystemParams
 from qmol.states import Basis, StateVector, basis_state
 from qmol.units import HBAR_UEV_NS
@@ -120,6 +127,16 @@ def test_analytic_populations_frozen_molecule():
     assert p_ll.max() > 0.1  # the allowed transfer does happen
 
 
+def test_analytic_populations_at_huge_coupling():
+    # populations at (s*p, t/s) equal those at (p, t); j**2 overflows at s = 1e200
+    p = SystemParams(j=1.0, delta1=0.4, delta2=0.3)
+    big = SystemParams(j=1e200, delta1=0.4e200, delta2=0.3e200)
+    times = np.linspace(0.0, 20.0, 41)
+    expected = np.column_stack(analytic_populations(p, times))
+    got = np.column_stack(analytic_populations(big, times / 1e200))
+    assert np.abs(got - expected).max() < 1e-12
+
+
 def test_analytic_populations_reject_detuned():
     with pytest.raises(NotResonant):
         analytic_populations(SystemParams(eps1=1.0, delta1=2.0, delta2=2.0), 0.5)
@@ -191,6 +208,35 @@ def test_bell_condition_rejects_non_integers():
         bell_condition(1, 1, -25.0)
 
 
+@pytest.mark.parametrize("j", [1e-300, 1e300])
+def test_bell_condition_at_extreme_couplings(j):
+    # the ratio does not depend on j, and t_e scales as 1/j
+    reference = bell_condition(1, 1, 25.0)
+    condition = bell_condition(1, 1, j)
+    assert condition.ratio == reference.ratio
+    assert condition.t_e * j == pytest.approx(reference.t_e * 25.0, rel=1e-14)
+    evolved = propagate(condition.params(), basis_state("RL"), condition.t_e)
+    assert concurrence_pure(evolved) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("j", [1e-5, 1e-3])
+def test_bell_time_check_is_relative(j):
+    # t_e grows as 1/j; its two routes agree to a few ulps, not to 1e-12 ns
+    for n in range(1, 20):
+        for m in range(1, 2 * n, 2):
+            condition = bell_condition(n, m, j)
+            assert condition.t_e * j == pytest.approx(2 * np.pi * m * HBAR_UEV_NS, rel=1e-14)
+
+
+def test_bell_condition_outside_double_range():
+    with pytest.raises(InvalidInput):
+        bell_condition(1, 1, float("inf"))
+    with pytest.raises(NumericOverflow):
+        bell_condition(1, 1, 1.7e308)  # beta_plus is 2 j
+    with pytest.raises(NumericOverflow):
+        bell_condition(1, 1, 5e-324)  # t_e is about 4/j ns
+
+
 def test_trajectory_grid_and_contents():
     p = SystemParams.from_ratio(RATIO_11, j=25.0)
     traj = trajectory(p, basis_state("RL"), 1.0, 101)
@@ -227,6 +273,24 @@ def test_trajectory_rejects_bad_grid():
         trajectory(p, basis_state("RL"), 1.0, 2.5)
     with pytest.raises(InvalidInput, match=r"2\*\*24"):
         trajectory(p, basis_state("RL"), 1.0, MAX_OUTPUT_VALUES + 1)
+
+
+@pytest.mark.parametrize("t_max", [float("inf"), float("nan")])
+def test_trajectory_rejects_non_finite_tmax(t_max):
+    with pytest.raises(InvalidInput, match="tmax"):
+        trajectory(SystemParams(delta1=3.0), basis_state("RL"), t_max, 3)
+
+
+def test_trajectory_normalization_check_fails_on_nan():
+    populations = np.full((2, 4), 0.25)
+    populations[1] = np.nan
+    with pytest.raises(ConvergenceError):
+        Trajectory(
+            times=np.array([0.0, 1.0]),
+            amplitudes=np.full((2, 4), 0.5, dtype=complex),
+            populations=populations,
+            concurrence=np.zeros(2),
+        )
 
 
 def test_trajectory_accepts_bell_initial_state():

@@ -122,6 +122,27 @@ def test_resonant_solution_at_huge_scale_matches_numerics(delta1):
         assert np.abs(resid).max() <= 1e-12 * abs(energy)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-12, 1.0, 1e200])
+def test_resonant_mixing_is_relative_to_the_coupling(scale):
+    # tunneling as large as j mixes the plus block however small both are
+    p = SystemParams(j=scale, delta1=scale)
+    sol = resonant_solution(p)
+    # delta_plus = j/2: mixing = 2/(sqrt(5) + 1), the golden-ratio conjugate
+    assert sol.plus.mixing == pytest.approx((np.sqrt(5.0) - 1.0) / 2.0, rel=1e-15)
+    assert sol.minus.mixing == sol.plus.mixing  # delta_minus = delta_plus here
+    h = build_positional(p)
+    for energy, state in zip(sol.energies, sol.states):
+        resid = h @ state.amplitudes - energy * state.amplitudes
+        assert np.abs(resid).max() <= 1e-14 * abs(energy)
+
+
+def test_resonant_mixing_has_no_cancellation():
+    # (beta - j)/(4 delta) loses all digits for delta << j; 4 delta/(beta + j)
+    # keeps them: mixing = 2 delta/j to first order
+    sol = resonant_solution(SystemParams(j=1.0, delta1=2e-9, delta2=2e-9))
+    assert sol.plus.mixing == pytest.approx(4e-9, rel=1e-15)
+
+
 def test_resonant_solution_beyond_double_range_raises():
     # beta = sqrt(j^2 + 16 delta_plus^2) is about 3.4e308
     with pytest.raises(NumericOverflow):
