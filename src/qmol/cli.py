@@ -316,6 +316,13 @@ def cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
+def _fmt_result(x: float) -> str:
+    """fmt6, or %.6e where fmt6 would print nonzero x as zero or over 17 digits."""
+    text = fmt6(x)
+    digits = text.lstrip("-0").replace(".", "").lstrip("0")
+    return f"{x:.6e}" if len(digits) > 17 or (x != 0.0 and not digits) else text
+
+
 def cmd_bell_times(config: RunConfig) -> int:
     condition = bell_condition(config.n, config.m, config.params.j)
     evolved = propagate(condition.params(), basis_state("RL"), condition.t_e)
@@ -323,11 +330,11 @@ def cmd_bell_times(config: RunConfig) -> int:
     lines = [
         f"n = {condition.n}",
         f"m = {condition.m}",
-        f"j_ueV = {fmt6(condition.j)}",
-        f"ratio = {fmt6(condition.ratio)}",
-        f"delta1_ueV = {fmt6(condition.delta1)}",
-        f"t_e_ns = {fmt6(condition.t_e)}",
-        f"concurrence_at_t_e = {fmt6(checked)}",
+        f"j_ueV = {_fmt_result(condition.j)}",
+        f"ratio = {_fmt_result(condition.ratio)}",
+        f"delta1_ueV = {_fmt_result(condition.delta1)}",
+        f"t_e_ns = {_fmt_result(condition.t_e)}",
+        f"concurrence_at_t_e = {_fmt_result(checked)}",
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

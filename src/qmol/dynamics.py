@@ -9,21 +9,15 @@ place where energies are converted to angular frequencies via hbar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, cos, inf, isfinite, ldexp, pi, sqrt
+from math import ceil, cos, hypot, isfinite, pi, sqrt
 
 import numpy as np
 
 from .entanglement import concurrence_from_amplitudes
-from .errors import (
-    ConvergenceError,
-    InvalidInput,
-    NoRealSolution,
-    NotResonant,
-    NumericOverflow,
-)
+from .errors import ConvergenceError, InvalidInput, NoRealSolution, NumericOverflow
 from .hamiltonian import SystemParams, build_positional
-from .linalg import _scale_exponent, hermitian_eigensolve
-from .spectrum import ResonanceKind, classify_resonance, resonant_solution
+from .linalg import hermitian_eigensolve
+from .spectrum import resonant_solution
 from .states import Basis, StateVector
 from .units import HBAR_UEV_NS
 
@@ -46,13 +40,35 @@ _CROSSING_TOL = 1e-9
 #: Trajectory keeps take 112 bytes per time point, 1.9 GB at 2**24.
 MAX_OUTPUT_VALUES = 2**24
 
+#: Largest phase max|E| * t / hbar (rad) that spectral propagation accepts.
+#: Jacobi eigenvalues are off by up to about 2e-15 * max|E| (worst 1.9e-15
+#: on 300 draws from `verify`'s range), so below 1e8 rad each phase is off by
+#: under 2.5e-7 rad, and a population by under twice that: less than the
+#: 5e-7 that would change its sixth printed decimal.
+MAX_PHASE = 1e8
+
 
 def _evolve(p: SystemParams, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Amplitudes at each time, rows indexed by the time grid."""
     dec = hermitian_eigensolve(build_positional(p))
+    phase = float(np.abs(dec.values).max()) * float(times.max()) / HBAR_UEV_NS
+    # written so that NaN and inf fail it
+    if not phase <= MAX_PHASE:
+        raise InvalidInput(
+            f"max|E| * t / hbar = {phase:.3e} rad exceeds {MAX_PHASE:g} rad, beyond "
+            f"which the phases do not hold six decimals; shorten the time span"
+        )
     coeffs = dec.vectors.conj().T @ amps0
     phases = np.exp(-1j * np.outer(times, dec.values) / HBAR_UEV_NS)
     return (phases * coeffs) @ dec.vectors.T
+
+
+def _checked_time(t) -> float:
+    """t as a float; InvalidInput unless it is nonnegative and finite."""
+    t = float(t)
+    if not (t >= 0.0 and isfinite(t)):
+        raise InvalidInput(f"t must be nonnegative and finite, got {t!r}")
+    return t
 
 
 def propagate(p: SystemParams, psi0: StateVector, t: float) -> StateVector:
@@ -60,11 +76,13 @@ def propagate(p: SystemParams, psi0: StateVector, t: float) -> StateVector:
 
     Bell-basis input is converted to the positional basis first; the
     returned state is positional.
+
+    Raises:
+        InvalidInput: if t is negative or not finite, or the phase
+            max|E| * t / hbar exceeds MAX_PHASE.
     """
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t!r}")
     amps0 = psi0.to_positional().amplitudes
-    out = _evolve(p, amps0, np.array([float(t)]))[0]
+    out = _evolve(p, amps0, np.array([_checked_time(t)]))[0]
     return StateVector(out, Basis.POSITIONAL)
 
 
@@ -75,9 +93,11 @@ def propagate_rk4(
 
     Integrates d(psi)/dt = -i H psi / hbar with a fixed step (ns).  Slower
     and less accurate than `propagate`; intended for verification only.
+
+    Raises:
+        InvalidInput: if t is negative or not finite.
     """
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t!r}")
+    t = _checked_time(t)
     h = build_positional(p)
     gen = h * (-1j / HBAR_UEV_NS)
     steps = max(1, ceil(t / step))
@@ -99,19 +119,11 @@ def analytic_populations(p: SystemParams, t):
     Accepts a scalar or array of times (ns) and returns the tuple
     (P_LL, P_LR, P_RL, P_RR) of matching shape.  The four expressions
     oscillate with the two angular frequencies beta_{+-}/(4*hbar) where
-    beta_{+-} = sqrt(j^2 + 16*delta_{+-}^2).
-
-    The betas are those of `resonant_solution`, so they do not overflow
-    for couplings whose squares do.
+    beta_{+-} = sqrt(j^2 + 16*delta_{+-}^2), taken from `resonant_solution`.
 
     Raises:
-        NotResonant: if either detuning is nonzero.
+        NotResonant: if either detuning is nonzero (from `resonant_solution`).
     """
-    if classify_resonance(p) is not ResonanceKind.FULL_RESONANCE:
-        raise NotResonant(
-            f"analytic populations need eps1 = eps2 = 0, got "
-            f"({p.eps1!r}, {p.eps2!r})"
-        )
     t = np.asarray(t, dtype=float)
     solution = resonant_solution(p)
     beta_p = solution.plus.beta
@@ -168,8 +180,8 @@ class BellCondition:
 def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
     """Solve for the equal-tunneling ratio that makes both blocks commensurate.
 
-    beta_plus is computed at the power-of-two scale of j and delta1, as
-    `resonant_solution` does, so j may span the whole double range.
+    beta_plus = hypot(j, 4*delta1) squares neither, so j may span the
+    whole double range.
 
     Raises:
         InvalidInput: if n or m are not positive integers, m is even, or
@@ -192,12 +204,7 @@ def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
         )
     ratio = 0.25 * sqrt(4.0 * n * n / (m * m) - 1.0)
     delta1 = ratio * j  # delta_plus with delta1 = delta2; delta_minus is 0
-    exp = int(_scale_exponent(max(j, delta1)))
-    js, ds = ldexp(j, -exp), ldexp(delta1, -exp)
-    try:
-        beta_plus = ldexp(sqrt(js * js + 16.0 * ds * ds), exp)
-    except OverflowError:
-        beta_plus = inf
+    beta_plus = hypot(j, 4.0 * delta1)
     beta_minus = j
     omega_plus = beta_plus / 4.0
     omega_minus = beta_minus / 4.0
@@ -269,8 +276,9 @@ def trajectory(
     """Propagate psi0 over `steps` evenly spaced times covering [0, t_max].
 
     Raises:
-        InvalidInput: if steps is not an integer in [2, MAX_OUTPUT_VALUES]
-            or t_max is not positive and finite.
+        InvalidInput: if steps is not an integer in [2, MAX_OUTPUT_VALUES],
+            t_max is not positive and finite, or max|E| * t_max / hbar
+            exceeds MAX_PHASE.
     """
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
         raise InvalidInput(f"steps must be an integer >= 2, got {steps!r}")

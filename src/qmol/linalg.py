@@ -19,10 +19,12 @@ arithmetic operation for operation, and both share the input checks, the
 Frobenius norm and the power-of-two scaling below, so for a real
 symmetric matrix the two return the same bits.
 
-Matrices whose largest entry lies outside [2**-500, 2**500] are scaled by
+Matrices whose largest entry lies outside [2**-461, 2**500] are scaled by
 an exact power of two before the iteration, so that squares and the
 norm neither overflow nor underflow, and their eigenvalues are scaled
-back afterwards.  Matrices inside that range are not touched.
+back afterwards.  Matrices inside that range are not touched.  Every
+tolerance, the degeneracy gap included, is relative to the norm of the
+matrix the iteration runs on, so such scaling changes no flag or vector.
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ _HERM_TOL = 1e-12
 _PHASE_FLOOR = 1e-9
 _DEGENERACY_TOL = 1e-9
 _MAX_SWEEPS = 60
-_SCALE_MIN = 2.0**-500
+# The squares of the off-diagonal entries the iteration rotates (those above
+# threshold / 8, with threshold = 1e-14 * |m|_F >= 1e-14 * max|m_ij|) stay
+# normal, and so round alike at every power-of-two scale, when
+# (1e-14 * max|m_ij| / 8)**2 >= 2**-1022, i.e. max|m_ij| >= 2**-461.49...
+_SCALE_MIN = 2.0**-461
 _SCALE_MAX = 2.0**500
 
 
@@ -68,7 +74,7 @@ class EigenDecomposition:
             values[k], with the first component of modulus above 1e-9
             made real and positive.
         degenerate_pairs: flags for the adjacent pairs (0,1), (1,2),
-            (2,3); True where the gap falls below 1e-9 * max(1, |m|_F).
+            (2,3); True where the gap is at most 1e-9 * |m|_F.
     """
 
     values: np.ndarray
@@ -126,16 +132,6 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def _gap_tolerance(norm, exp):
-    """Degeneracy gap 1e-9 * max(1, |m|_F), in the units of the scaled matrix.
-
-    One unit is 2**-exp there; clipped at 2**1023 it still exceeds every
-    gap of a scaled matrix, whose entries are below 1.
-    """
-    unit = np.ldexp(1.0, np.minimum(-exp, 1023))
-    return _DEGENERACY_TOL * np.maximum(unit, norm)
-
-
 def _unscale(values: np.ndarray, exp: np.ndarray, big: np.ndarray) -> np.ndarray:
     """Eigenvalues of the unscaled matrices; NumericOverflow if they do not fit."""
     with np.errstate(over="ignore"):
@@ -148,13 +144,6 @@ def _unscale(values: np.ndarray, exp: np.ndarray, big: np.ndarray) -> np.ndarray
     return values
 
 
-def _require_hermitian_4x4(m: np.ndarray) -> tuple[np.ndarray, float]:
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise NonHermitianInput(f"expected a 4x4 matrix, got shape {m.shape}")
-    return m, float(_checked_max_abs(m))
-
-
 def hermitian_eigensolve(m: np.ndarray) -> EigenDecomposition:
     """Diagonalize a 4x4 Hermitian matrix by cyclic complex Jacobi rotations.
 
@@ -163,7 +152,10 @@ def hermitian_eigensolve(m: np.ndarray) -> EigenDecomposition:
         ConvergenceError: if the off-diagonal norm does not fall below
             1e-14 * |m|_F (not reachable for well-formed input).
     """
-    m, big = _require_hermitian_4x4(m)
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise NonHermitianInput(f"expected a 4x4 matrix, got shape {m.shape}")
+    big = float(_checked_max_abs(m))
     exp = 0 if _SCALE_MIN <= big <= _SCALE_MAX else int(_scale_exponent(big))
     if exp:
         scaled = np.ldexp(m.real, -exp).astype(complex)
@@ -235,8 +227,9 @@ def hermitian_eigensolve(m: np.ndarray) -> EigenDecomposition:
                 vectors[:, k] = col * (comp.conjugate() / h)
                 break
 
-    gap_tol = _gap_tolerance(norm, exp)
-    flags = tuple(bool(values[k + 1] - values[k] < gap_tol) for k in range(3))
+    # <=, so that exact ties such as those of the zero matrix are flagged
+    gap_tol = _DEGENERACY_TOL * norm
+    flags = tuple(bool(values[k + 1] - values[k] <= gap_tol) for k in range(3))
     if exp:
         values = _unscale(values, exp, big)
     values.setflags(write=False)
@@ -294,7 +287,7 @@ def symmetric_eigensolve_batch(
     lead = np.where(found, lead[:, 0, :], 1.0)
     vectors = vectors * (lead * (1.0 / np.abs(lead)))[:, None, :]
 
-    flags = np.diff(values, axis=1) < _gap_tolerance(norm, exp)[:, None]
+    flags = np.diff(values, axis=1) <= (_DEGENERACY_TOL * norm)[:, None]
     if scaled:
         values = _unscale(values, exp[:, None], big)
     return values, vectors, flags

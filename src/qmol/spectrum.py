@@ -3,28 +3,24 @@
 The numeric path (`eigensystem`) works for any parameters.  At full
 resonance (both detunings zero) the Hamiltonian splits into two 2x2 Bell
 blocks and `resonant_solution` returns the exact eigenpairs; the two
-routes validate each other in the test suite.  Like the eigensolvers,
-the closed form works at an exact power-of-two scale when the largest of
-j and the tunnelings lies outside [2**-500, 2**500], so that squaring
-them neither overflows nor underflows.
+routes validate each other in the test suite.  The closed form squares
+nothing: beta = sqrt(j^2 + 16*delta^2) is `math.hypot(j, 4*delta)`, and
+the mixing is built from the ratios 4*delta/beta and j/beta, which are at
+most 1.  So it works over the whole double range, without the
+power-of-two scaling the eigensolvers use, until beta itself overflows.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import ldexp, sqrt
+from math import hypot, isfinite, sqrt
 
 import numpy as np
 
 from .errors import NotResonant, NumericOverflow
 from .hamiltonian import SystemParams, build_positional
-from .linalg import (
-    EigenDecomposition,
-    _scale_exponent,
-    hermitian_eigensolve,
-    pair_flags_to_states,
-)
+from .linalg import EigenDecomposition, hermitian_eigensolve, pair_flags_to_states
 from .states import BELL_MATRIX, Basis, StateVector
 
 __all__ = [
@@ -36,8 +32,6 @@ __all__ = [
     "resonant_solution",
     "classify_resonance",
 ]
-
-_CLASSIFY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,9 +81,8 @@ class ResonantBranch:
     a = (delta1 + delta2)/2 for the even (s = plus) block.  `mixing` is
     the low-branch coefficient (beta - j)/(4*delta) = 4*delta/(beta + j)
     built from the block's tunneling scale delta (delta_minus or
-    delta_plus), computed in the second form; the
-    stored states are exact eigenvectors, so their internal mixing sign
-    follows the sign of the actual coupling a.
+    delta_plus), computed in the second form; the stored states are exact
+    eigenvectors, so their internal mixing sign follows the sign of a.
 
     Attributes:
         delta: tunneling scale of the block (ueV).
@@ -144,23 +137,22 @@ class ResonantSolution:
 
 
 def _branch(
-    j: float, delta: float, coupling: float, psi_row: int, phi_row: int, exp: int
+    j: float, delta: float, coupling: float, psi_row: int, phi_row: int
 ) -> ResonantBranch:
-    """One Bell block, computed with j, delta and coupling scaled by 2**-exp."""
-    js, ds, cs = ldexp(j, -exp), ldexp(delta, -exp), ldexp(coupling, -exp)
-    beta_scaled = sqrt(js * js + 16.0 * ds * ds)
-    # (beta - j) / (4*delta) without the cancellation in beta - j; both
-    # vanish with delta, with no division by it.  |coupling| = |delta|.
-    mixing = 4.0 * ds / (beta_scaled + js)
-    tilt = -4.0 * cs / (beta_scaled + js)
-    gamma = 1.0 / sqrt(1.0 + mixing * mixing)
-    try:
-        beta = ldexp(beta_scaled, exp)
-    except OverflowError:
+    """One Bell block; NumericOverflow if its beta does not fit a double."""
+    beta = hypot(j, 4.0 * delta)
+    if not isfinite(beta):
         raise NumericOverflow(
             f"beta = sqrt(j^2 + 16*delta^2) exceeds the floating-point range "
             f"(j = {j!r}, delta = {delta!r})"
-        ) from None
+        )
+    # (beta - j) / (4*delta) as 4*delta / (beta + j), without the
+    # cancellation in beta - j, from ratios no larger than 1; both vanish
+    # with delta, with no division by it.  |coupling| = |delta|.
+    sum_ratio = 1.0 + j / beta  # (beta + j) / beta, in (1, 2]
+    mixing = 4.0 * delta / beta / sum_ratio
+    tilt = -4.0 * coupling / beta / sum_ratio
+    gamma = 1.0 / sqrt(1.0 + mixing * mixing)
     psi = BELL_MATRIX[psi_row]
     phi = BELL_MATRIX[phi_row]
     low = StateVector(gamma * (psi + tilt * phi), Basis.POSITIONAL)
@@ -178,26 +170,22 @@ def _branch(
 
 
 def resonant_solution(p: SystemParams) -> ResonantSolution:
-    """Exact eigenpairs of both Bell blocks; requires eps1 = eps2 = 0.
-
-    Couplings out of [2**-500, 2**500] are solved at an exact power-of-two
-    scale; inside that range the scale is 1 and changes no bit.
+    """Exact eigenpairs of both Bell blocks; requires eps1 = eps2 = 0 exactly.
 
     Raises:
-        NotResonant: if either detuning is nonzero.
+        NotResonant: if either detuning is nonzero, however small.
         NumericOverflow: if a block's beta does not fit a double.
     """
-    if classify_resonance(p) is not ResonanceKind.FULL_RESONANCE:
+    if p.eps1 != 0.0 or p.eps2 != 0.0:
         raise NotResonant(
-            f"closed-form solution needs eps1 = eps2 = 0, got "
+            f"closed-form solution needs eps1 = eps2 = 0 exactly, got "
             f"({p.eps1!r}, {p.eps2!r})"
         )
-    exp = int(_scale_exponent(max(p.j, abs(p.delta1), abs(p.delta2))))
     minus = _branch(
-        p.j, p.delta_minus, (p.delta2 - p.delta1) / 2.0, psi_row=0, phi_row=1, exp=exp
+        p.j, p.delta_minus, (p.delta2 - p.delta1) / 2.0, psi_row=0, phi_row=1
     )
     plus = _branch(
-        p.j, p.delta_plus, (p.delta1 + p.delta2) / 2.0, psi_row=2, phi_row=3, exp=exp
+        p.j, p.delta_plus, (p.delta1 + p.delta2) / 2.0, psi_row=2, phi_row=3
     )
     return ResonantSolution(minus=minus, plus=plus)
 
@@ -209,7 +197,7 @@ class ResonanceKind(enum.Enum):
     GENERIC = "Generic"
 
 
-def classify_resonance(p: SystemParams, tol: float = _CLASSIFY_TOL) -> ResonanceKind:
+def classify_resonance(p: SystemParams, tol: float = 1e-12) -> ResonanceKind:
     """Classify the detuning pattern with absolute tolerance in ueV.
 
     Full resonance means both detunings vanish; equal detuning means

@@ -47,6 +47,19 @@ def test_spectrum_degenerate_flags(capsys):
         assert row.split(",")[1] in ("-6.250000", "6.250000")
 
 
+def test_spectrum_degenerate_column_is_scale_free(capsys):
+    # energies -+3.5e-201 and -+7.9e-201 are distinct relative to |H|_F
+    columns = []
+    for scale in ("1", "1e-200"):
+        code, out, _ = run(
+            capsys, "spectrum", f"--j={scale}", f"--d1={scale}", f"--d2={float(scale) / 2!r}"
+        )
+        assert code == 0
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        columns.append([row.rsplit(",", 1)[1] for row in rows])
+    assert columns == [["no"] * 4, ["no"] * 4]
+
+
 def test_spectrum_detuned_tunnelings_never_reach_unity(capsys):
     code, out, _ = run(capsys, "spectrum", "--j", "25", "--d1", "6.25", "--d2", "3.125")
     assert code == 0
@@ -116,6 +129,12 @@ def test_bell_times_at_extreme_couplings(j, capsys):
     values = dict(line.split(" = ") for line in out.splitlines())
     assert values["ratio"] == "0.433013"
     assert values["concurrence_at_t_e"] == "1.000000"
+    # six fixed decimals would print 0.000000 or hundreds of digits here
+    exponent_form = {
+        "1e300": ("1.000000e+300", "4.330127e+299", "4.135668e-300"),
+        "1e-300": ("1.000000e-300", "4.330127e-301", "4.135668e+300"),
+    }
+    assert (values["j_ueV"], values["delta1_ueV"], values["t_e_ns"]) == exponent_form[j]
 
 
 def test_bell_times_no_solution_exit_code(capsys):
@@ -329,6 +348,9 @@ def test_rejects_nonpositive_coupling(capsys):
         ["sweep", "detuning-dynamics", "--sign", "2", "--steps", "3", "--grid=-1:1:3"],
         ["dynamics", "--init", "XX"],
         ["dynamics", "--tmax", "inf"],
+        # phases beyond MAX_PHASE would not hold the six printed decimals
+        ["dynamics", "--ratio", "0.433013", "--tmax", "1e15"],
+        ["dynamics", "--tmax=1.7e308", "--steps", "2"],
         ["spectrum", "--d1", "nan"],
         ["bell-times", "--j", "inf"],
     ],

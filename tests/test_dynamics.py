@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qmol.dynamics import (
     MAX_OUTPUT_VALUES,
+    MAX_PHASE,
     Trajectory,
     analytic_populations,
     bell_condition,
@@ -19,6 +22,7 @@ from qmol.errors import (
     NumericOverflow,
 )
 from qmol.hamiltonian import SystemParams
+from qmol.spectrum import eigensystem
 from qmol.states import Basis, StateVector, basis_state
 from qmol.units import HBAR_UEV_NS
 
@@ -90,6 +94,32 @@ def test_propagate_rejects_negative_time():
         propagate(SystemParams(), basis_state("RL"), -0.1)
 
 
+@pytest.mark.parametrize("t", [-0.1, float("nan"), float("inf")])
+def test_propagators_reject_bad_times_without_warnings(t):
+    p = SystemParams(delta1=1.0, delta2=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="t must be"):
+            propagate(p, basis_state("RL"), t)
+        with pytest.raises(InvalidInput, match="t must be"):
+            propagate_rk4(p, basis_state("RL"), t)
+
+
+def test_phase_bound_rejects_long_times():
+    p = SystemParams(delta1=1.0, delta2=1.0, j=25.0)
+    e_max = float(np.abs(eigensystem(p).energies).max())
+    t_limit = MAX_PHASE * HBAR_UEV_NS / e_max
+    propagate(p, basis_state("RL"), 0.999 * t_limit)
+    with pytest.raises(InvalidInput, match="rad"):
+        propagate(p, basis_state("RL"), 1.001 * t_limit)
+    with pytest.raises(InvalidInput, match="rad"):
+        trajectory(p, basis_state("RL"), 1.001 * t_limit, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="rad"):
+            trajectory(p, basis_state("RL"), 1.7e308, 2)
+
+
 def test_analytic_populations_match_propagator():
     rng = np.random.default_rng(5)
     rl = basis_state("RL")
@@ -140,6 +170,10 @@ def test_analytic_populations_at_huge_coupling():
 def test_analytic_populations_reject_detuned():
     with pytest.raises(NotResonant):
         analytic_populations(SystemParams(eps1=1.0, delta1=2.0, delta2=2.0), 0.5)
+    # eps1 = j/2 is far from resonance however small j is
+    p = SystemParams(j=1e-12, eps1=5e-13, delta1=1e-12, delta2=1e-12)
+    with pytest.raises(NotResonant):
+        analytic_populations(p, 9e11)
 
 
 def test_bell_condition_frozen_values():

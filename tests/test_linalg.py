@@ -90,6 +90,15 @@ def test_degenerate_pair_detection():
     assert dec.degenerate_states == (True, True, False, False)
     m2 = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
     assert hermitian_eigensolve(m2).degenerate_pairs == (False, False, False)
+    # the gap is relative to |m|_F: the same flags at any scale
+    for scale in (1e-200, 1e200):
+        assert hermitian_eigensolve(m * scale).degenerate_pairs == (True, False, False)
+        assert hermitian_eigensolve(m2 * scale).degenerate_pairs == (False,) * 3
+        assert not symmetric_eigensolve_batch(m2.real[None] * scale)[2].any()
+    # exact ties count, so the zero matrix has every pair flagged
+    zero = np.zeros((4, 4))
+    assert hermitian_eigensolve(zero.astype(complex)).degenerate_pairs == (True,) * 3
+    assert symmetric_eigensolve_batch(zero[None])[2].all()
 
 
 def test_complex_phases_handled():
@@ -239,7 +248,7 @@ def test_pair_flags_rule_applies_to_arrays():
 
 @pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
 def test_out_of_range_matrices_are_scaled_exactly(power):
-    """Outside [2**-500, 2**500] a matrix is solved at a power-of-two scale;
+    """Outside [2**-461, 2**500] a matrix is solved at a power-of-two scale;
     the iteration commutes with that scale, so vectors and (scaled)
     values keep their bits."""
     h = random_symmetric(np.random.default_rng(8), 20)

@@ -147,11 +147,19 @@ def test_resonant_solution_beyond_double_range_raises():
     # beta = sqrt(j^2 + 16 delta_plus^2) is about 3.4e308
     with pytest.raises(NumericOverflow):
         resonant_solution(SystemParams(j=1.5e308, delta1=1.5e308))
+    # delta_plus = (delta1 + delta2)/2 overflows; beta = hypot(j, inf) is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow):
+            resonant_solution(SystemParams(j=1.0, delta1=1.7e308, delta2=1.7e308))
 
 
 def test_requires_full_resonance():
     with pytest.raises(NotResonant):
         resonant_solution(SystemParams(eps1=1.0, delta1=2.0, delta2=2.0))
+    # a detuning below classify_resonance's tolerance still counts
+    with pytest.raises(NotResonant):
+        resonant_solution(SystemParams(eps2=1e-300, delta1=2.0, delta2=2.0))
 
 
 def test_degeneracy_flags_at_zero_tunneling():
