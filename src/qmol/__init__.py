@@ -102,6 +102,7 @@ __all__ = [
     "InvalidInput",
     "NonHermitianInput",
     "ConvergenceError",
+    "NumericOverflow",
     "NotNormalized",
     "NotResonant",
     "NoRealSolution",

@@ -48,19 +48,23 @@ MAX_OUTPUT_VALUES = 2**24
 MAX_PHASE = 1e8
 
 
-def _evolve(p: SystemParams, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Amplitudes at each time, rows indexed by the time grid."""
-    dec = hermitian_eigensolve(build_positional(p))
-    phase = float(np.abs(dec.values).max()) * float(times.max()) / HBAR_UEV_NS
+def _evolve(energies, vectors, amps0, times) -> np.ndarray:
+    """Amplitudes at each time, rows indexed by the time grid.
+
+    `energies` and `vectors` are the eigensystem of the Hamiltonian, as
+    `hermitian_eigensolve` or one lane of `symmetric_eigensolve_batch`
+    returns it, with vectors[:, k] belonging to energies[k].
+    """
+    phase = float(np.abs(energies).max()) * float(times.max()) / HBAR_UEV_NS
     # written so that NaN and inf fail it
     if not phase <= MAX_PHASE:
         raise InvalidInput(
             f"max|E| * t / hbar = {phase:.3e} rad exceeds {MAX_PHASE:g} rad, beyond "
             f"which the phases do not hold six decimals; shorten the time span"
         )
-    coeffs = dec.vectors.conj().T @ amps0
-    phases = np.exp(-1j * np.outer(times, dec.values) / HBAR_UEV_NS)
-    return (phases * coeffs) @ dec.vectors.T
+    coeffs = vectors.conj().T @ amps0
+    phases = np.exp(-1j * np.outer(times, energies) / HBAR_UEV_NS)
+    return (phases * coeffs) @ vectors.T
 
 
 def _checked_time(t) -> float:
@@ -81,8 +85,9 @@ def propagate(p: SystemParams, psi0: StateVector, t: float) -> StateVector:
         InvalidInput: if t is negative or not finite, or the phase
             max|E| * t / hbar exceeds MAX_PHASE.
     """
-    amps0 = psi0.to_positional().amplitudes
-    out = _evolve(p, amps0, np.array([_checked_time(t)]))[0]
+    times = np.array([_checked_time(t)])
+    dec = hermitian_eigensolve(build_positional(p))
+    out = _evolve(dec.values, dec.vectors, psi0.to_positional().amplitudes, times)[0]
     return StateVector(out, Basis.POSITIONAL)
 
 
@@ -288,8 +293,14 @@ def trajectory(
         )
     if not (t_max > 0.0 and isfinite(t_max)):
         raise InvalidInput(f"tmax must be positive and finite, got {t_max!r}")
+    dec = hermitian_eigensolve(build_positional(p))
     times = np.linspace(0.0, float(t_max), steps)
-    amps = _evolve(p, psi0.to_positional().amplitudes, times)
+    return _sampled(dec.values, dec.vectors, psi0.to_positional().amplitudes, times)
+
+
+def _sampled(energies, vectors, amps0, times) -> Trajectory:
+    """The Trajectory from amplitudes amps0 at `times`; see `_evolve`."""
+    amps = _evolve(energies, vectors, amps0, times)
     return Trajectory(
         times=times,
         amplitudes=amps,

@@ -52,11 +52,11 @@ class SystemParams:
 
     @property
     def delta_plus(self) -> float:
-        return (self.delta1 + self.delta2) / 2.0
+        return self.delta1 / 2.0 + self.delta2 / 2.0
 
     @property
     def delta_minus(self) -> float:
-        return (self.delta1 - self.delta2) / 2.0
+        return self.delta1 / 2.0 - self.delta2 / 2.0
 
     @classmethod
     def from_ratio(cls, ratio: float, j: float = 25.0, eps1: float = 0.0, eps2: float = 0.0) -> "SystemParams":
@@ -77,17 +77,22 @@ def _positional_matrices(eps1, eps2, delta1, delta2, j) -> np.ndarray:
     this is the matrix arithmetic of `build_positional` without the
     SystemParams checks, so a sweep can build many cells at once.
     """
-    es2 = (eps1 + eps2) / 2.0
-    ed2 = (eps1 - eps2) / 2.0
+    # halved before they are added, so that eps1 +- eps2 cannot overflow;
+    # halving a normal double is exact
+    es2 = eps1 / 2.0 + eps2 / 2.0
+    ed2 = eps1 / 2.0 - eps2 / 2.0
     j4 = j / 4.0
     d1 = delta1 / 2.0
     d2 = delta2 / 2.0
     # built entry-major, so each entry of a stack is one contiguous block
     h = np.zeros((4, 4) + np.broadcast(es2, ed2, j4, d1, d2).shape)
-    h[0, 0] = es2 + j4
-    h[1, 1] = ed2 - j4
-    h[2, 2] = -ed2 - j4
-    h[3, 3] = -es2 + j4
+    # a diagonal entry that overflows is left inf for the eigensolver to
+    # reject, silently, as Python float arithmetic leaves a scalar one
+    with np.errstate(over="ignore"):
+        h[0, 0] = es2 + j4
+        h[1, 1] = ed2 - j4
+        h[2, 2] = -ed2 - j4
+        h[3, 3] = -es2 + j4
     h[0, 1] = h[1, 0] = h[2, 3] = h[3, 2] = d2
     h[0, 2] = h[2, 0] = h[1, 3] = h[3, 1] = d1
     return h.transpose(tuple(range(2, h.ndim)) + (0, 1))
@@ -104,10 +109,10 @@ def build_bell(p: SystemParams) -> np.ndarray:
     B @ build_positional(p) @ B^dagger for B = states.BELL_MATRIX.
     """
     j4 = p.j / 4.0
-    am = (p.delta2 - p.delta1) / 2.0
-    ap = (p.delta1 + p.delta2) / 2.0
-    ed2 = p.eps_diff / 2.0
-    es2 = p.eps_sum / 2.0
+    am = p.delta2 / 2.0 - p.delta1 / 2.0
+    ap = p.delta1 / 2.0 + p.delta2 / 2.0
+    ed2 = p.eps1 / 2.0 - p.eps2 / 2.0
+    es2 = p.eps1 / 2.0 + p.eps2 / 2.0
     return np.array(
         [
             [-j4, am, -ed2, 0.0],

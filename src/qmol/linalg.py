@@ -11,10 +11,10 @@ There are two kernels because the callers come in two shapes.
 plain Python; it serves every single solve (spectra, propagation,
 Wootters concurrence).  `symmetric_eigensolve_batch` takes a stack of
 real symmetric matrices and runs the iteration on numpy arrays, one lane
-per matrix; it serves the eigen maps, where one Python solve per grid
-cell used to dominate the run time.  For a single matrix the numpy call
-overhead makes the batch kernel several times slower, so it does not
-replace the scalar one.  The batch kernel repeats the scalar kernel's
+per matrix; it serves every map, eigen and dynamics, where one Python
+solve per grid cell or row used to dominate the run time.  For a single
+matrix the numpy call overhead makes the batch kernel several times
+slower, so it does not replace the scalar one.  The batch kernel repeats the scalar kernel's
 arithmetic operation for operation, and both share the input checks, the
 Frobenius norm and the power-of-two scaling below, so for a real
 symmetric matrix the two return the same bits.

@@ -1,23 +1,24 @@
 """2-D concurrence scans: eigenstate maps over detunings and dynamics maps.
 
-Eigen maps are solved in row-major blocks of at most `_BLOCK_CELLS` grid
-cells by the batched real-symmetric Jacobi kernel, whose arithmetic in
-each cell is identical to the scalar solver's; dynamics maps evolve one
-row at a time.  Both solvers are deterministic, so identical inputs
-always produce bit-identical grids.  A map is rerun from the CSV header
-the CLI writes for it (see `qmol.cli.config_from_metadata`).
+Every map is solved by the batched real-symmetric Jacobi kernel, whose
+arithmetic in each cell is identical to the scalar solver's: eigen maps
+in row-major blocks of at most `_BLOCK_CELLS` grid cells, dynamics maps
+in blocks of at most `_BLOCK_CELLS` rows, one Hamiltonian per row.  The
+kernel is deterministic, so identical inputs always produce bit-identical
+grids.  A map is rerun from the CSV header the CLI writes for it (see
+`qmol.cli.config_from_metadata`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
 
-from .dynamics import MAX_OUTPUT_VALUES, trajectory
+from .dynamics import MAX_OUTPUT_VALUES, _sampled
 from .entanglement import concurrence_from_amplitudes
-from .errors import InvalidInput, NotResonant
+from .errors import InvalidInput, NotResonant, QmolError
 from .hamiltonian import SystemParams, _positional_matrices
 from .linalg import pair_flags_to_states, symmetric_eigensolve_batch
 
@@ -34,8 +35,9 @@ __all__ = [
     "dynamics_detuning_map",
 ]
 
-#: Most grid cells an eigen map hands to the batched solver at once, so
-#: the solver's working memory does not grow with the grid.
+#: Most grid cells (eigen maps) or rows (dynamics maps) a map hands to the
+#: batched solver at once, so the solver's working memory does not grow
+#: with the grid.
 _BLOCK_CELLS = 4096
 
 
@@ -125,8 +127,8 @@ def eigen_concurrence_map(
     `concurrence_pure` give for that cell alone.
 
     Raises:
-        InvalidInput: for a state index outside 0..3, a map of more than
-            MAX_OUTPUT_VALUES cells, or a grid where eps1 + eps2 overflows.
+        InvalidInput: for a state index outside 0..3 or a map of more than
+            MAX_OUTPUT_VALUES cells.
     """
     if state_index not in (0, 1, 2, 3):
         raise InvalidInput(f"state_index must be 0..3, got {state_index!r}")
@@ -137,13 +139,6 @@ def eigen_concurrence_map(
     _check_size(x_axis, y_axis)
     xs = x_axis.values
     ys = y_axis.values
-    # the largest |eps1 + eps2| is 2 * max|x|, on the diagonal; below it
-    # no entry of a cell's matrix overflows
-    if not isfinite(2.0 * float(np.abs(xs).max())):
-        raise InvalidInput(
-            f"eigen map grid [{lo!r}, {hi!r}] is too large: the detuning sum "
-            f"eps1 + eps2 overflows"
-        )
     cells = eps_steps * eps_steps
     values = np.empty(cells)
     mask = np.empty(cells, dtype=bool)
@@ -184,12 +179,14 @@ def dynamics_tunneling_map(
         )
     x_axis = Axis("t", 0.0, float(t_max), t_steps, "ns")
     y_axis = Axis("ratio", float(ratio_min), float(ratio_max), ratio_steps, "")
-    _check_size(x_axis, y_axis)
-    values = np.empty((ratio_steps, t_steps))
-    for iy, ratio in enumerate(y_axis.values):
-        p = replace(base, delta1=float(ratio) * base.j, delta2=float(ratio) * base.j)
-        values[iy] = trajectory(p, psi0, float(t_max), t_steps).concurrence
-    return SweepGrid(x_axis, y_axis, values)
+
+    def couplings(ratios: np.ndarray) -> tuple:
+        # |ratio * j| grows with |ratio|, so the row where it is largest is
+        # the one SystemParams must check, with the message it gives
+        SystemParams.from_ratio(float(ratios[np.abs(ratios).argmax()]), base.j)
+        return base.eps1, base.eps2, ratios * base.j, ratios * base.j, base.j
+
+    return _dynamics_map(x_axis, y_axis, psi0, couplings)
 
 
 def dynamics_detuning_map(
@@ -216,9 +213,39 @@ def dynamics_detuning_map(
         )
     x_axis = Axis("t", 0.0, float(t_max), t_steps, "ns")
     y_axis = Axis("eps1", float(eps_min), float(eps_max), eps_steps, "ueV")
+    return _dynamics_map(
+        x_axis, y_axis, psi0, lambda e1: (e1, sign * e1, base.delta1, base.delta2, base.j)
+    )
+
+
+def _dynamics_map(x_axis: Axis, y_axis: Axis, psi0: StateVector, couplings) -> SweepGrid:
+    """Concurrence of psi0 evolved over the times on x, one Hamiltonian per row.
+
+    `couplings(ys)` gives the (eps1, eps2, delta1, delta2, j) of the rows
+    at the y values ys, as arrays or scalars, and raises InvalidInput
+    where one is not finite.  Rows are solved in blocks by
+    `symmetric_eigensolve_batch` and evolved one at a time by
+    `dynamics._sampled`, with the phase and normalization checks of
+    `trajectory`; each row equals `trajectory(...).concurrence` for its
+    parameters, bit for bit.  A block that fails is solved again row by
+    row, so the error raised is that of its first failing row.
+    """
     _check_size(x_axis, y_axis)
-    values = np.empty((eps_steps, t_steps))
-    for iy, e1 in enumerate(y_axis.values):
-        p = replace(base, eps1=float(e1), eps2=sign * float(e1))
-        values[iy] = trajectory(p, psi0, float(t_max), t_steps).concurrence
+    times, ys = x_axis.values, y_axis.values
+    amps0 = psi0.to_positional().amplitudes
+    values = np.empty((y_axis.count, x_axis.count))
+
+    def solve(rows: range) -> None:
+        h = _positional_matrices(*couplings(ys[rows.start : rows.stop]))
+        energies, vectors, _ = symmetric_eigensolve_batch(h)
+        for k, iy in enumerate(rows):
+            values[iy] = _sampled(energies[k], vectors[k], amps0, times).concurrence
+
+    for start in range(0, y_axis.count, _BLOCK_CELLS):
+        rows = range(start, min(start + _BLOCK_CELLS, y_axis.count))
+        try:
+            solve(rows)
+        except QmolError:
+            for iy in rows:
+                solve(range(iy, iy + 1))
     return SweepGrid(x_axis, y_axis, values)

@@ -290,18 +290,76 @@ def test_grid_with_overflowing_span_exits_2_without_warnings(capsys):
     assert err.startswith("error: axis 'eps1'") and "finite" in err
 
 
-def test_eigen_grid_with_overflowing_detuning_sum_exits_2(capsys):
-    # the span is finite, but eps1 + eps2 is not on the diagonal
+def halved_hamiltonian(e1, e2, d1, d2, j):
+    """Positional Hamiltonian written out with every detuning halved first."""
+    es, ed = e1 / 2 + e2 / 2, e1 / 2 - e2 / 2
+    return np.array(
+        [
+            [es + j / 4, d2 / 2, d1 / 2, 0.0],
+            [d2 / 2, ed - j / 4, 0.0, d1 / 2],
+            [d1 / 2, 0.0, -ed - j / 4, d2 / 2],
+            [0.0, d1 / 2, d2 / 2, -es + j / 4],
+        ]
+    )
+
+
+@pytest.mark.parametrize("grid", ["1e308:1.7e308:5", "-8.9e307:8.9e307:5"])
+def test_eigen_grid_with_overflowing_detuning_sum_answers(capsys, grid):
+    # eps1 + eps2 overflows on the first grid; the halves do not, so every
+    # cell matches np.linalg.eigh except where the state is degenerate
+    couplings = dict(d1=2e307, d2=1e307, j=2e307)
+    flags = [f"--{k}={v!r}" for k, v in couplings.items()]
+    axis = np.linspace(*(float(x) for x in grid.split(":")[:2]), 5)
+    for state in range(4):
+        code, out, err = run(
+            capsys, "sweep", "eigen", f"--grid={grid}", f"--state={state}", *flags
+        )
+        assert code == 0 and err == ""
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        values = np.array([[float(x) for x in r.split(",")[1:]] for r in rows])
+        assert values.shape == (5, 5)
+        for (iy, ix), value in np.ndenumerate(values):
+            h = halved_hamiltonian(axis[ix], axis[iy], **couplings)
+            w, v = np.linalg.eigh(h)
+            gaps = np.diff(w / np.abs(w).max())  # w[3] - w[0] may overflow
+            if min(gaps[i] for i in (state - 1, state) if 0 <= i < 3) < 1e-6:
+                continue  # degenerate: the eigenvector is basis-ambiguous
+            a = v[:, state]
+            expect = 2.0 * abs(a[0] * a[3] - a[1] * a[2])
+            assert abs(value - expect) <= 0.5e-6 + 1e-9, (grid, state, iy, ix)
+
+
+def test_eigen_grid_whose_entries_overflow_exits_3_without_warnings(capsys):
+    # 1.7e308 + j/4 is not a double: the cell's matrix is rejected
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, "sweep", "eigen", "--grid=1e308:1.7e308:3")
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1
-        assert "grid [1e+308, 1.7e+308]" in err and "overflows" in err
-        # the largest grid whose sums fit is still solved
-        code, out, err = run(capsys, "sweep", "eigen", "--grid=-8.9e307:8.9e307:3")
-        assert code == 0 and err == ""
+        code, out, err = run(
+            capsys, "sweep", "eigen", "--grid=1e308:1.7e308:3", "--j=1e308"
+        )
+    assert (code, out) == (3, "")
+    assert err == "error: matrix contains NaN or Inf entries\n"
+
+
+def test_tunneling_map_with_overflowing_tunneling_exits_2_without_warnings(capsys):
+    # ratio * j = 1e310 on the first row: SystemParams' message, no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "sweep", "tunneling-dynamics", "--j=1e10", "--grid=1e300:1e301:3",
+            "--steps=3", "--tmax=1e-300",
+        )
+    assert (code, out) == (2, "")
+    assert err == "error: delta1 must be finite, got inf\n"
+
+
+def test_spectrum_with_overflowing_detuning_sum_answers(capsys):
+    # eps1 + eps2 = 3.4e308 does not fit a double; eps1/2 + eps2/2 does
+    code, out, err = run(capsys, "spectrum", "--e1", "1.7e308", "--e2", "1.7e308")
+    assert code == 0 and err == ""
+    rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+    energies = np.array([float(r.split(",")[1]) for r in rows])
+    exact = np.sort(np.linalg.eigvalsh(halved_hamiltonian(1.7e308, 1.7e308, 0.0, 0.0, 25.0)))
+    assert np.array_equal(energies, exact)
 
 
 def test_spectrum_at_huge_energies(capsys):
@@ -459,3 +517,12 @@ def test_out_and_pgm_on_one_path_leave_the_pgm(tmp_path):
     both = tmp_path / "both"
     assert main(EIGEN_MAP + ["--grid=-25:25:3", "--out", str(both), "--pgm", str(both)]) == 0
     assert both.read_bytes() == _fresh_sweep_bytes(tmp_path, "-25:25:3")[1]
+
+
+def test_package_exports_every_error_class():
+    # exit codes 2, 3 and 4 are documented per error class, so a caller
+    # of `from qmol import *` must see each of them
+    import qmol
+    import qmol.errors
+
+    assert set(qmol.errors.__all__) <= set(qmol.__all__)

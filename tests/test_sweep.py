@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from math import isqrt
@@ -6,12 +7,12 @@ import numpy as np
 import pytest
 
 from qmol import sweep
-from qmol.dynamics import bell_condition
+from qmol.dynamics import bell_condition, trajectory
 from qmol.entanglement import concurrence_pure
-from qmol.errors import InvalidInput, NotResonant
+from qmol.errors import InvalidInput, NonHermitianInput, NotResonant
 from qmol.hamiltonian import SystemParams, build_positional
 from qmol.linalg import hermitian_eigensolve
-from qmol.states import basis_state
+from qmol.states import BELL_LABELS, POSITIONAL_LABELS, basis_state
 from qmol.sweep import (
     Axis,
     dynamics_detuning_map,
@@ -244,6 +245,97 @@ def test_detuning_map_accepts_all_positional_preparations(label, sign):
     )
     assert grid.values.shape == (3, 4)
     assert np.all((grid.values >= 0.0) & (grid.values <= 1.0))
+
+
+def reference_dynamics_map(kind, base, t_max, t_steps, lo, hi, steps, psi0, sign=1):
+    """A dynamics map row by row: one scalar `trajectory` per row."""
+    rows = []
+    for y in np.linspace(lo, hi, steps):
+        if kind == "tunneling":
+            p = replace(base, delta1=float(y) * base.j, delta2=float(y) * base.j)
+        else:
+            p = replace(base, eps1=float(y), eps2=sign * float(y))
+        rows.append(trajectory(p, psi0, t_max, t_steps).concurrence)
+    return np.array(rows)
+
+
+def dynamics_map(kind, base, t_max, t_steps, lo, hi, steps, psi0, sign=1):
+    if kind == "tunneling":
+        return dynamics_tunneling_map(base, t_max, t_steps, lo, hi, steps, psi0)
+    return dynamics_detuning_map(base, t_max, t_steps, lo, hi, steps, psi0, sign)
+
+
+def assert_dynamics_matches_reference(*args, **kwargs):
+    grid = dynamics_map(*args, **kwargs)
+    assert grid.values.tobytes() == reference_dynamics_map(*args, **kwargs).tobytes()
+
+
+@pytest.mark.parametrize("label", POSITIONAL_LABELS + BELL_LABELS)
+def test_tunneling_map_matches_per_row_reference(label):
+    assert_dynamics_matches_reference(
+        "tunneling", SystemParams(j=25.0), 2.0, 61, -0.2, 1.0, 25, basis_state(label)
+    )
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("label", POSITIONAL_LABELS + BELL_LABELS)
+def test_detuning_map_matches_per_row_reference(label, sign):
+    base = SystemParams.from_ratio(0.433, j=25.0)
+    assert_dynamics_matches_reference(
+        "detuning", base, 2.0, 61, -25.0, 25.0, 25, basis_state(label), sign
+    )
+
+
+@pytest.mark.parametrize("kind", ["tunneling", "detuning"])
+def test_dynamics_map_split_across_blocks_matches_reference(monkeypatch, kind):
+    monkeypatch.setattr(sweep, "_BLOCK_CELLS", 3)
+    base = SystemParams(j=25.0) if kind == "tunneling" else SystemParams.from_ratio(0.3)
+    assert_dynamics_matches_reference(
+        kind, base, 1.5, 40, -0.7, 0.9, 11, basis_state("PsiPlus"), -1
+    )
+
+
+def dynamics_peak_bytes(rows):
+    tracemalloc.start()
+    try:
+        grid = dynamics_detuning_map(
+            SystemParams.from_ratio(0.3), 1.0, 2, -5.0, 5.0, rows, basis_state("RL"), 1
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - grid.values.nbytes
+
+
+def test_dynamics_map_memory_grows_with_the_block_not_the_rows(monkeypatch):
+    # beside the output, a map keeps only its y axis (8 bytes a row) for
+    # all rows; the block's matrices alone take 128 bytes a row
+    monkeypatch.setattr(sweep, "_BLOCK_CELLS", 256)
+    small, large = dynamics_peak_bytes(2_000), dynamics_peak_bytes(20_000)
+    assert large - small < 12 * 18_000
+    monkeypatch.setattr(sweep, "_BLOCK_CELLS", 4096)
+    assert dynamics_peak_bytes(20_000) - large > 128 * (4096 - 256)
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        # row 0 fails the phase bound before the last row's ratio * j overflows
+        (("tunneling", SystemParams(j=1e10), 1.0, 3, 1e290, 1e301, 3),
+         InvalidInput, "max|E| * t / hbar"),
+        (("tunneling", SystemParams(j=1e10), 1e-300, 3, 1e300, 1e301, 3),
+         InvalidInput, "delta1 must be finite, got inf"),
+        # row 0 fails the phase bound before the last row's matrix overflows
+        (("detuning", SystemParams(j=1e308), 1e-300, 3, 1e307, 1.7e308, 3),
+         InvalidInput, "max|E| * t / hbar"),
+        (("detuning", SystemParams(j=1e308), 1e-310, 3, 1e307, 1.7e308, 3),
+         NonHermitianInput, "NaN or Inf"),
+    ],
+)
+def test_dynamics_map_raises_what_its_first_failing_row_raises(args, error, message):
+    for build in (dynamics_map, reference_dynamics_map):
+        with pytest.raises(error, match=re.escape(message)):
+            build(*args, basis_state("RL"))
 
 
 def test_each_kind_repeats_bitwise():
