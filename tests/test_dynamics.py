@@ -1,8 +1,11 @@
 import warnings
+from math import ceil
 
 import numpy as np
 import pytest
 
+import qmol.dynamics
+import qmol.linalg
 from qmol.dynamics import (
     MAX_OUTPUT_VALUES,
     MAX_PHASE,
@@ -21,7 +24,7 @@ from qmol.errors import (
     NotResonant,
     NumericOverflow,
 )
-from qmol.hamiltonian import SystemParams
+from qmol.hamiltonian import SystemParams, build_positional
 from qmol.spectrum import eigensystem
 from qmol.states import Basis, StateVector, basis_state
 from qmol.units import HBAR_UEV_NS
@@ -39,6 +42,12 @@ def random_params(rng, resonant=False):
     e1, e2 = (0.0, 0.0) if resonant else rng.uniform(-j, j, 2)
     d1, d2 = rng.uniform(-2.0 * j, 2.0 * j, 2)
     return SystemParams(eps1=float(e1), eps2=float(e2), delta1=float(d1), delta2=float(d2), j=j)
+
+
+def scaled(p, s):
+    return SystemParams(
+        eps1=s * p.eps1, eps2=s * p.eps2, delta1=s * p.delta1, delta2=s * p.delta2, j=s * p.j
+    )
 
 
 def random_state(rng):
@@ -80,6 +89,119 @@ def test_propagate_matches_rk4():
         a = propagate(p, psi, t).amplitudes
         b = propagate_rk4(p, psi, t).amplitudes
         assert np.abs(a - b).max() < 1e-8
+
+
+def _rk4_loop(p, psi0, t, step):
+    """RK4 one step at a time: the per-step form of `propagate_rk4`."""
+    gen = build_positional(p) * (-1j / HBAR_UEV_NS)
+    steps = max(1, ceil(t / step))
+    dt = t / steps
+    psi = psi0.to_positional().amplitudes.astype(complex)
+    for _ in range(steps):
+        k1 = gen @ psi
+        k2 = gen @ (psi + 0.5 * dt * k1)
+        k3 = gen @ (psi + 0.5 * dt * k2)
+        k4 = gen @ (psi + dt * k3)
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1])
+def test_rk4_power_matches_step_loop(scale):
+    # at scale 1 the step is often 0.008 hbar / |H|_F, below 1e-4; at 0.1
+    # it is always 1e-4
+    rng = np.random.default_rng(5)
+    capped = []
+    for _ in range(6):
+        p = scaled(random_params(rng), scale)
+        psi = random_state(rng)
+        t = float(rng.uniform(0.1, 0.5))
+        step = min(1e-4, 0.008 * HBAR_UEV_NS / np.linalg.norm(build_positional(p)))
+        capped.append(step < 1e-4)
+        loop = _rk4_loop(p, psi, t, step)
+        assert np.abs(propagate_rk4(p, psi, t, 1e-4).amplitudes - loop).max() < 1e-12
+    assert any(capped) == (scale == 1.0)
+
+
+def test_rk4_step_follows_the_scale():
+    # a fixed 1e-4 ns step turns the fastest phase by 1.4 rad per step
+    p = SystemParams(j=2e4, delta1=1e4, delta2=5e3, eps1=3e3)
+    a = propagate(p, basis_state("RL"), 0.01).amplitudes
+    b = propagate_rk4(p, basis_state("RL"), 0.01).amplitudes
+    assert np.abs(a - b).max() < 1e-8
+
+
+def test_rk4_keeps_digits_at_small_scales():
+    # a step matrix formed as I + (P - I) loses the real part of P - I's
+    # diagonal below one ulp of 1, up to 1.9e-8 away from spectral
+    # propagation here
+    rng = np.random.default_rng(6)
+    s = 2.0**-40
+    for _ in range(3):
+        small = scaled(random_params(rng), s)
+        psi = random_state(rng)
+        t = float(rng.uniform(0.1, 0.5)) / s
+        a = propagate(small, psi, t).amplitudes
+        b = propagate_rk4(small, psi, t).amplitudes
+        assert np.abs(a - b).max() < 1e-12
+
+
+def test_rk4_calls_no_eigensolver(monkeypatch):
+    rng = np.random.default_rng(7)
+    p = random_params(rng)
+    psi = random_state(rng)
+    expected = propagate(p, psi, 0.3).amplitudes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagate_rk4 called an eigensolver")
+
+    for module in (qmol.linalg, qmol.dynamics):
+        for name in ("hermitian_eigensolve", "symmetric_eigensolve_batch"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert np.abs(propagate_rk4(p, psi, 0.3).amplitudes - expected).max() < 1e-8
+
+
+def test_rk4_phase_bound():
+    p = SystemParams(delta1=1.0, delta2=1.0)
+    norm = float(np.linalg.norm(build_positional(p)))
+    t_limit = MAX_PHASE * HBAR_UEV_NS / norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = propagate_rk4(p, basis_state("RL"), 0.999 * t_limit)
+        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        for t in (1.001 * t_limit, 1e300):
+            with pytest.raises(InvalidInput, match="rad"):
+                propagate_rk4(p, basis_state("RL"), t)
+        # |H|_F is beyond the double range here, the phase at t = 0 is not
+        huge = SystemParams(delta1=1.7e308, delta2=1.7e308)
+        out = propagate_rk4(huge, basis_state("RL"), 0.0)
+        assert np.array_equal(out.amplitudes, basis_state("RL").amplitudes)
+
+
+@pytest.mark.parametrize("step", [-1e-4, 0.0, float("nan"), -float("inf")])
+def test_rk4_rejects_bad_steps(step):
+    p = SystemParams(delta1=1.0, delta2=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="step must be positive"):
+            propagate_rk4(p, basis_state("RL"), 0.3, step)
+
+
+def test_rk4_step_extremes():
+    p = SystemParams(delta1=1.0, delta2=1.0)
+    psi = basis_state("RL")
+    expected = propagate(p, psi, 0.3).amplitudes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # an infinite step leaves the scale to choose; a tiny one costs
+        # about a thousand squarings
+        for step in (float("inf"), 1e-300):
+            out = propagate_rk4(p, psi, 0.3, step).amplitudes
+            assert np.abs(out - expected).max() < 1e-9
+        with pytest.raises(InvalidInput, match="too small"):
+            propagate_rk4(p, psi, 0.3, 5e-324)
 
 
 def test_propagate_accepts_bell_basis_input():

@@ -147,7 +147,8 @@ def test_resonant_solution_beyond_double_range_raises():
     # beta = sqrt(j^2 + 16 delta_plus^2) is about 3.4e308
     with pytest.raises(NumericOverflow):
         resonant_solution(SystemParams(j=1.5e308, delta1=1.5e308))
-    # delta_plus = (delta1 + delta2)/2 overflows; beta = hypot(j, inf) is inf
+    # delta_plus = delta1/2 + delta2/2 is 1.7e308, but hypot(j, 4*delta_plus)
+    # overflows to inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericOverflow):
