@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDensityMatrix, NotNormalized
-from .linalg import hermitian_eigensolve
+from .linalg import _hermitian_eigenvalues, hermitian_eigensolve
 from .states import Basis, StateVector
 
 __all__ = [
@@ -103,7 +103,7 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     tilde = spin_flip(rho)
     proxy = sqrt_rho @ tilde @ sqrt_rho
     proxy = (proxy + proxy.conj().T) / 2.0
-    r_vals = hermitian_eigensolve(proxy).values
+    r_vals = _hermitian_eigenvalues(proxy)
     if float(r_vals[0]) < _EIG_FLOOR:
         raise InvalidDensityMatrix(
             f"R-matrix eigenvalue {r_vals[0]!r} below tolerance"

@@ -7,17 +7,21 @@ identical.  That determinism is what the sweep and CLI layers rely on for
 byte-stable output files.
 
 There are two kernels because the callers come in two shapes.
-`hermitian_eigensolve` takes one complex Hermitian matrix and iterates in
-plain Python; it serves every single solve (spectra, propagation,
-Wootters concurrence).  `symmetric_eigensolve_batch` takes a stack of
-real symmetric matrices and runs the iteration on numpy arrays, one lane
-per matrix; it serves every map, eigen and dynamics, where one Python
-solve per grid cell or row used to dominate the run time.  For a single
-matrix the numpy call overhead makes the batch kernel several times
-slower, so it does not replace the scalar one.  The batch kernel repeats the scalar kernel's
-arithmetic operation for operation, and both share the input checks, the
-Frobenius norm and the power-of-two scaling below, so for a real
-symmetric matrix the two return the same bits.
+`hermitian_eigensolve` takes one Hermitian matrix and iterates on plain
+Python numbers: floats with the batch kernel's arithmetic for one lane
+when the matrix has no imaginary part, complex numbers otherwise, in one
+rotation loop.  It serves every single solve (spectra, propagation,
+Wootters concurrence); `_hermitian_eigenvalues` runs the same loop
+without the eigenvector update for callers that read only the values.
+`symmetric_eigensolve_batch` takes a stack of real symmetric matrices
+and runs the iteration on numpy arrays, one lane per matrix; it serves
+every map, eigen and dynamics, where one Python solve per grid cell or
+row used to dominate the run time.  For a single matrix the numpy call
+overhead makes the batch kernel several times slower, so it does not
+replace the scalar one.  The batch kernel repeats the scalar kernel's
+arithmetic operation for operation, both accept the same matrices, and
+they share the Frobenius norm and the power-of-two scaling below, so for
+a real symmetric matrix the two return the same bits.
 
 Matrices whose largest entry lies outside [2**-461, 2**500] are scaled by
 an exact power of two before the iteration, so that squares and the
@@ -30,6 +34,7 @@ matrix the iteration runs on, so such scaling changes no flag or vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from cmath import isfinite
 from math import sqrt
 
 import numpy as np
@@ -45,6 +50,9 @@ __all__ = [
 ]
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# each pair with the two indices it leaves, whose entries a rotation mixes
+_ROTATIONS = tuple((p, q, tuple(i for i in range(4) if i not in (p, q))) for p, q in _PAIRS)
+_UPPER = tuple((i, j) for i in range(4) for j in range(i, 4))
 _OFF_TOL = 1e-14
 _HERM_TOL = 1e-12
 _PHASE_FLOOR = 1e-9
@@ -145,79 +153,26 @@ def _unscale(values: np.ndarray, exp: np.ndarray, big: np.ndarray) -> np.ndarray
 
 
 def hermitian_eigensolve(m: np.ndarray) -> EigenDecomposition:
-    """Diagonalize a 4x4 Hermitian matrix by cyclic complex Jacobi rotations.
+    """Diagonalize a 4x4 Hermitian matrix by cyclic Jacobi rotations.
+
+    The rotations run on Python floats when m has no imaginary part, with
+    the batch kernel's arithmetic for one lane, and on Python complex
+    numbers otherwise.  Both give the same bits for a real matrix: the
+    imaginary parts complex arithmetic would carry are zeros, and they
+    reach neither a diagonal entry nor an eigenvector.  For the
+    eigenvalues alone, `_hermitian_eigenvalues` skips the eigenvectors.
 
     Raises:
         NonHermitianInput: if m is not 4x4 Hermitian with finite entries.
         ConvergenceError: if the off-diagonal norm does not fall below
             1e-14 * |m|_F (not reachable for well-formed input).
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise NonHermitianInput(f"expected a 4x4 matrix, got shape {m.shape}")
-    big = float(_checked_max_abs(m))
-    exp = 0 if _SCALE_MIN <= big <= _SCALE_MAX else int(_scale_exponent(big))
-    if exp:
-        scaled = np.ldexp(m.real, -exp).astype(complex)
-        scaled.imag = np.ldexp(m.imag, -exp)
-        m = scaled
-    norm = float(_frobenius(m))
-    a = [[complex(m[i, j]) for j in range(4)] for i in range(4)]
-    v = [[1.0 + 0.0j if i == j else 0.0 + 0.0j for j in range(4)] for i in range(4)]
-
-    if norm > 0.0:
-        threshold = _OFF_TOL * norm
-        skip = threshold / 8.0
-        for _ in range(_MAX_SWEEPS):
-            off = 0.0
-            for p, q in _PAIRS:
-                off += abs(a[p][q]) ** 2
-            if sqrt(2.0 * off) <= threshold:
-                break
-            for p, q in _PAIRS:
-                apq = a[p][q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                alpha = a[p][p].real
-                beta = a[q][q].real
-                tau = (alpha - beta) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
-                c = 1.0 / sqrt(1.0 + t * t)
-                s = t * c
-                cross = 2.0 * r * c * s
-                a[p][p] = complex(alpha * c * c + cross + beta * s * s)
-                a[q][q] = complex(alpha * s * s - cross + beta * c * c)
-                a[p][q] = 0.0 + 0.0j
-                a[q][p] = 0.0 + 0.0j
-                sphc = s * phase.conjugate()
-                sph = s * phase
-                for i in range(4):
-                    if i == p or i == q:
-                        continue
-                    aip = a[i][p]
-                    aiq = a[i][q]
-                    a[i][p] = c * aip + sphc * aiq
-                    a[i][q] = c * aiq - sph * aip
-                    a[p][i] = a[i][p].conjugate()
-                    a[q][i] = a[i][q].conjugate()
-                for i in range(4):
-                    vip = v[i][p]
-                    viq = v[i][q]
-                    v[i][p] = c * vip + sphc * viq
-                    v[i][q] = c * viq - sph * vip
-        else:
-            raise ConvergenceError("Jacobi iteration did not converge in 60 sweeps")
-
-    values = np.array([a[k][k].real for k in range(4)])
-    vectors = np.array(v, dtype=complex)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
+    diagonal, v, norm, exp, big = _jacobi(m, vectors=True)
+    order = sorted(range(4), key=diagonal.__getitem__)
+    values = np.array([diagonal[k] for k in order])
+    # built from its columns, so that each column is contiguous: the phase
+    # products below and later products with the vectors round by layout
+    vectors = np.array([[row[k] for row in v] for k in order], dtype=complex).T
 
     for k in range(4):
         col = vectors[:, k]
@@ -235,6 +190,106 @@ def hermitian_eigensolve(m: np.ndarray) -> EigenDecomposition:
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenDecomposition(values=values, vectors=vectors, degenerate_pairs=flags)
+
+
+def _hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """`hermitian_eigensolve(m).values`, bit for bit, without the eigenvectors."""
+    diagonal, _, _, exp, big = _jacobi(m, vectors=False)
+    values = np.array(sorted(diagonal))
+    return _unscale(values, exp, big) if exp else values
+
+
+def _max_abs(m: np.ndarray, a: list[list]) -> float:
+    """`float(_checked_max_abs(m))`, from m's rows `a` where that is safe.
+
+    Python's abs of a complex number is libm's hypot, which can differ in
+    the last bit from numpy's vectorized abs.  So a matrix within a
+    relative 1e-13 of the Hermiticity tolerance, or within 1% of the
+    scaling range, is left to `_checked_max_abs`.  Any other is one that
+    function accepts and does not scale, and gets the largest |a_ij|,
+    which may differ from that function's in the last bit.
+    """
+    flat = [x for row in a for x in row]
+    big = max(map(abs, flat))
+    bound = _HERM_TOL * max(1.0, big) * (1.0 - 1e-13)
+    plain = all(map(isfinite, flat)) and _SCALE_MIN * 1.01 <= big <= _SCALE_MAX * 0.99
+    if plain and all(abs(a[i][j] - a[j][i].conjugate()) <= bound for i, j in _UPPER):
+        return big
+    return float(_checked_max_abs(m))
+
+
+def _jacobi(m: np.ndarray, vectors: bool) -> tuple[list, list | None, float, int, float]:
+    """The cyclic Jacobi iteration on one checked matrix.
+
+    Returns the final diagonal (unsorted, at the iteration's scale), the
+    eigenvector rows (None unless `vectors`), the norm the tolerances are
+    relative to, the scale exponent and the largest |m_ij|.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise NonHermitianInput(f"expected a 4x4 matrix, got shape {m.shape}")
+    kind = complex if m.imag.any() else float
+    a = (m if kind is complex else m.real).tolist()
+    big = _max_abs(m, a)
+    exp = 0 if _SCALE_MIN <= big <= _SCALE_MAX else int(_scale_exponent(big))
+    if exp:
+        scaled = np.ldexp(m.real, -exp).astype(complex)
+        scaled.imag = np.ldexp(m.imag, -exp)
+        m = scaled
+        a = (m if kind is complex else m.real).tolist()
+    norm = float(_frobenius(m))
+    v = [[kind(i == j) for j in range(4)] for i in range(4)] if vectors else None
+    zero = kind(0)
+
+    if norm > 0.0:
+        threshold = _OFF_TOL * norm
+        skip = threshold / 8.0
+        for _ in range(_MAX_SWEEPS):
+            off = 0.0
+            for p, q, _ in _ROTATIONS:
+                off += abs(a[p][q]) ** 2
+            if sqrt(2.0 * off) <= threshold:
+                break
+            for p, q, others in _ROTATIONS:
+                ap = a[p]
+                aq = a[q]
+                apq = ap[q]
+                r = abs(apq)
+                if r <= skip:
+                    continue
+                phase = apq / r
+                alpha = ap[p].real
+                beta = aq[q].real
+                tau = (alpha - beta) / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
+                c = 1.0 / sqrt(1.0 + t * t)
+                s = t * c
+                cross = 2.0 * r * c * s
+                ap[p] = alpha * c * c + cross + beta * s * s
+                aq[q] = alpha * s * s - cross + beta * c * c
+                ap[q] = aq[p] = zero
+                sphc = s * phase.conjugate()
+                sph = s * phase
+                for i in others:
+                    ai = a[i]
+                    aip = ai[p]
+                    aiq = ai[q]
+                    ai[p] = x = c * aip + sphc * aiq
+                    ai[q] = y = c * aiq - sph * aip
+                    ap[i] = x.conjugate()
+                    aq[i] = y.conjugate()
+                if v is not None:
+                    for vi in v:
+                        vip = vi[p]
+                        viq = vi[q]
+                        vi[p] = c * vip + sphc * viq
+                        vi[q] = c * viq - sph * vip
+        else:
+            raise ConvergenceError("Jacobi iteration did not converge in 60 sweeps")
+    return [a[k][k].real for k in range(4)], v, norm, exp, big
 
 
 def symmetric_eigensolve_batch(

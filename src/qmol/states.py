@@ -70,10 +70,11 @@ class StateVector:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (4,):
             raise ValueError(f"expected 4 amplitudes, got {amps.shape}")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise NotNormalized("amplitudes contain NaN or Inf")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_TOL:
+        # np.linalg.norm's arithmetic; NaN or Inf amplitudes fail it too
+        norm = sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
+        if not abs(norm - 1.0) <= _NORM_TOL:
+            if not np.all(np.isfinite(amps.view(float))):
+                raise NotNormalized("amplitudes contain NaN or Inf")
             raise NotNormalized(f"state norm is {norm!r}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

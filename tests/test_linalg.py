@@ -1,10 +1,26 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 
-from qmol import linalg
+from qmol import entanglement, linalg
+from qmol.entanglement import concurrence
 from qmol.errors import ConvergenceError, NonHermitianInput, NumericOverflow
 from qmol.hamiltonian import _positional_matrices
 from qmol.linalg import (
+    _DEGENERACY_TOL,
+    _MAX_SWEEPS,
+    _OFF_TOL,
+    _PAIRS,
+    _PHASE_FLOOR,
+    _SCALE_MAX,
+    _SCALE_MIN,
+    EigenDecomposition,
+    _checked_max_abs,
+    _frobenius,
+    _hermitian_eigenvalues,
+    _scale_exponent,
+    _unscale,
     expectation,
     hermitian_eigensolve,
     pair_flags_to_states,
@@ -274,3 +290,223 @@ def test_eigenvalues_beyond_the_double_range_raise():
         hermitian_eigensolve(h[0])
     with pytest.raises(NumericOverflow):
         symmetric_eigensolve_batch(h)
+
+
+def _reference_eigensolve(m: np.ndarray) -> EigenDecomposition:
+    """Reference scalar kernel: complex arithmetic for every input, numpy
+    input checks and argsort.  The single-matrix solves must give its bits."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise NonHermitianInput(f"expected a 4x4 matrix, got shape {m.shape}")
+    big = float(_checked_max_abs(m))
+    exp = 0 if _SCALE_MIN <= big <= _SCALE_MAX else int(_scale_exponent(big))
+    if exp:
+        scaled = np.ldexp(m.real, -exp).astype(complex)
+        scaled.imag = np.ldexp(m.imag, -exp)
+        m = scaled
+    norm = float(_frobenius(m))
+    a = [[complex(m[i, j]) for j in range(4)] for i in range(4)]
+    v = [[1.0 + 0.0j if i == j else 0.0 + 0.0j for j in range(4)] for i in range(4)]
+
+    if norm > 0.0:
+        threshold = _OFF_TOL * norm
+        skip = threshold / 8.0
+        for _ in range(_MAX_SWEEPS):
+            off = 0.0
+            for p, q in _PAIRS:
+                off += abs(a[p][q]) ** 2
+            if sqrt(2.0 * off) <= threshold:
+                break
+            for p, q in _PAIRS:
+                apq = a[p][q]
+                r = abs(apq)
+                if r <= skip:
+                    continue
+                phase = apq / r
+                alpha = a[p][p].real
+                beta = a[q][q].real
+                tau = (alpha - beta) / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
+                c = 1.0 / sqrt(1.0 + t * t)
+                s = t * c
+                cross = 2.0 * r * c * s
+                a[p][p] = complex(alpha * c * c + cross + beta * s * s)
+                a[q][q] = complex(alpha * s * s - cross + beta * c * c)
+                a[p][q] = 0.0 + 0.0j
+                a[q][p] = 0.0 + 0.0j
+                sphc = s * phase.conjugate()
+                sph = s * phase
+                for i in range(4):
+                    if i == p or i == q:
+                        continue
+                    aip = a[i][p]
+                    aiq = a[i][q]
+                    a[i][p] = c * aip + sphc * aiq
+                    a[i][q] = c * aiq - sph * aip
+                    a[p][i] = a[i][p].conjugate()
+                    a[q][i] = a[i][q].conjugate()
+                for i in range(4):
+                    vip = v[i][p]
+                    viq = v[i][q]
+                    v[i][p] = c * vip + sphc * viq
+                    v[i][q] = c * viq - sph * vip
+        else:
+            raise ConvergenceError("Jacobi iteration did not converge in 60 sweeps")
+
+    values = np.array([a[k][k].real for k in range(4)])
+    vectors = np.array(v, dtype=complex)
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    vectors = vectors[:, order]
+
+    for k in range(4):
+        col = vectors[:, k]
+        for comp in col:
+            h = abs(comp)
+            if h > _PHASE_FLOOR:
+                vectors[:, k] = col * (comp.conjugate() / h)
+                break
+
+    # <=, so that exact ties such as those of the zero matrix are flagged
+    gap_tol = _DEGENERACY_TOL * norm
+    flags = tuple(bool(values[k + 1] - values[k] <= gap_tol) for k in range(3))
+    if exp:
+        values = _unscale(values, exp, big)
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return EigenDecomposition(values=values, vectors=vectors, degenerate_pairs=flags)
+
+
+def assert_same_bits(m):
+    """Both single-matrix solves give the reference kernel's bits for m."""
+    ref = _reference_eigensolve(m)
+    dec = hermitian_eigensolve(m)
+    assert dec.values.tobytes() == ref.values.tobytes()
+    assert dec.vectors.tobytes() == ref.vectors.tobytes()
+    # products with the vectors (propagation, sqrt(rho)) round by their layout
+    assert dec.vectors.strides == ref.vectors.strides
+    assert dec.degenerate_pairs == ref.degenerate_pairs
+    assert _hermitian_eigenvalues(m).tobytes() == ref.values.tobytes()
+
+
+def test_same_bits_on_random_complex_matrices():
+    rng = np.random.default_rng(1001)
+    for _ in range(300):
+        assert_same_bits(random_hermitian(rng) * np.exp(rng.uniform(-20.0, 20.0)))
+
+
+def test_same_bits_on_positional_hamiltonians():
+    # zero detuning and zero tunneling give exact ties; the matrices are
+    # complex-typed with zero imaginary parts, as build_positional makes them
+    e = np.linspace(-25.0, 25.0, 11)
+    e1, e2 = np.meshgrid(e, e)
+    for d1, d2 in ((0.0, 0.0), (1.5, 0.0), (0.0, 2.5), (1.5, 2.5)):
+        for h in _positional_matrices(e1.ravel(), e2.ravel(), d1, d2, 25.0):
+            assert_same_bits(h.astype(complex))
+            assert_same_bits(h)
+
+
+def test_same_bits_on_density_matrices_and_r_proxies(monkeypatch):
+    proxies = []
+
+    def record(m):
+        proxies.append(np.array(m))
+        return _hermitian_eigenvalues(m)
+
+    monkeypatch.setattr(entanglement, "_hermitian_eigenvalues", record)
+    rng = np.random.default_rng(1002)
+    singlet = np.array([0.0, -1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    rhos = [
+        p * np.outer(singlet, singlet) + (1.0 - p) / 4.0 * np.eye(4)
+        for p in np.linspace(0.0, 1.0, 11)
+    ]
+    for rank in (1, 2, 3, 4):
+        for _ in range(20):
+            g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            rho = g @ g.conj().T
+            rhos.append(rho / np.trace(rho).real)
+    for rho in rhos:
+        assert_same_bits(rho)
+        concurrence(rho)
+    assert len(proxies) == len(rhos)
+    for proxy in proxies:
+        assert_same_bits(proxy)
+
+
+@pytest.mark.parametrize("power", [-600, 600])
+def test_same_bits_on_scaled_matrices(power):
+    rng = np.random.default_rng(1003)
+    for _ in range(40):
+        assert_same_bits(random_hermitian(rng) * 2.0**power)
+        assert_same_bits(random_symmetric(rng, 1)[0] * 2.0**power)
+
+
+def test_same_bits_on_signed_zeros_and_the_zero_matrix():
+    for m in (np.diag([1.0, -0.0, 0.0, 2.0]), np.zeros((4, 4))):
+        assert_same_bits(m)
+        assert_same_bits(m.astype(complex))
+
+
+def _outcome(solve, m):
+    try:
+        solve(m)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_same_matrices_rejected():
+    """Asymmetries within a few ulps of the Hermiticity tolerance, entries
+    at the edges of the scaling range and non-finite entries are accepted
+    or rejected as before, with the same error."""
+    rng = np.random.default_rng(1004)
+    cases = [np.eye(3), np.full((4, 4), 1.7e308)]
+    for edge in (_SCALE_MIN, _SCALE_MAX):
+        for ulps in (-1, 0, 1):
+            cases.append(np.diag([edge * (1.0 + ulps * 2.0**-52), 1e-300, 0.0, 0.0]))
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = bad
+        cases.append(m)
+    for _ in range(300):
+        m = random_hermitian(rng) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if rng.integers(2):
+            m = m.real.copy()
+        i, j = rng.choice(4, 2, replace=False)
+        m[i, j] = m[j, i] = 0.0
+        tol = 1e-12 * max(1.0, float(np.abs(m).max()))
+        # |m_ij - conj(m_ji)| = |m_ij| within a few ulps of the tolerance
+        m[i, j] = tol * (1.0 + int(rng.integers(-8, 9)) * 2.0**-52)
+        if m.dtype == complex:
+            m[i, j] *= np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        cases.append(m)
+    # numpy's vectorized abs and Python's (libm hypot) can round |m_ij| to
+    # opposite sides of the tolerance; numpy's side must win
+    for theta in rng.uniform(0.0, 2.0 * np.pi, 2000):
+        m = np.diag([2.0, 1.0, 0.0, 0.0]).astype(complex)
+        m[0, 3] = 2e-12 * np.exp(1j * theta)
+        if (float(np.abs(m)[0, 3]) <= 2e-12) != (abs(complex(m[0, 3])) <= 2e-12):
+            cases.append(m)
+    rejected = 0
+    for m in cases:
+        expected = _outcome(_reference_eigensolve, m)
+        assert _outcome(hermitian_eigensolve, m) == expected
+        assert _outcome(_hermitian_eigenvalues, m) == expected
+        if expected is None:
+            assert_same_bits(m)
+        rejected += expected is not None
+    assert 50 < rejected < len(cases) - 50
+
+
+def test_every_single_solve_raises_when_sweeps_run_out(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    real = random_symmetric(np.random.default_rng(4), 1)[0]
+    complex_ = random_hermitian(np.random.default_rng(5))
+    for m in (real, real.astype(complex), complex_):
+        with pytest.raises(ConvergenceError):
+            hermitian_eigensolve(m)
+        with pytest.raises(ConvergenceError):
+            _hermitian_eigenvalues(m)

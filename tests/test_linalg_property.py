@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_linalg import assert_batch_matches_scalar  # noqa: E402
+from test_linalg import assert_batch_matches_scalar, assert_same_bits  # noqa: E402
 
 from qmol.hamiltonian import _positional_matrices  # noqa: E402
 from qmol.linalg import hermitian_eigensolve  # noqa: E402
@@ -65,3 +65,31 @@ def test_near_degenerate_spectra(h):
         if not flagged:
             overlap = abs(np.vdot(vectors[:, k], dec.vectors[:, k]))
             assert abs(overlap - 1.0) <= 1e-9
+
+
+@st.composite
+def _hermitian(draw):
+    """A complex Hermitian matrix at a scale 2**k, k in [-600, 600].
+
+    Half the draws have free entries, some of them signed zeros or small
+    integers; the other half are near ties from `_near_ties` turned
+    complex by a diagonal unitary, which keeps their spectrum and so a
+    gap of 0.3 to 3 x 1e-9 |H|_F.
+    """
+    if draw(st.booleans()):
+        angles = draw(st.lists(st.floats(0.0, 6.3), min_size=4, max_size=4))
+        phases = np.exp(1j * np.array(angles))
+        m = phases[:, None] * draw(_near_ties()) * phases.conj()[None, :]
+    else:
+        finite = _entries.filter(lambda e: abs(e) < 1e299)
+        x = draw(st.lists(finite, min_size=16, max_size=16))
+        m = np.diag(x[:4]).astype(complex)
+        m[np.triu_indices(4, 1)] = np.array(x[4:10]) + 1j * np.array(x[10:])
+        m += np.triu(m, 1).conj().T
+    return m * 2.0 ** draw(st.integers(-600, 600))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_hermitian())
+def test_same_bits_as_reference_property(m):
+    assert_same_bits(m)

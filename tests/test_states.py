@@ -111,3 +111,49 @@ def test_bell_labels_align_with_matrix_rows():
     for row, label in enumerate(BELL_LABELS):
         psi = basis_state(label).to_positional()
         assert np.abs(psi.amplitudes - BELL_MATRIX[row]).max() < 1e-15
+
+
+def _rejection(amps):
+    with pytest.raises(NotNormalized) as exc:
+        StateVector(amps, Basis.POSITIONAL)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("offset", [-0.9e-12, 0.9e-12, -1.1e-12, 1.1e-12])
+def test_norm_tolerance_edges(offset):
+    amps = np.array([0.5, 0.5j, -0.5, 0.5]) * (1.0 + offset)
+    norm = float(np.linalg.norm(amps))
+    if abs(offset) < 1e-12:
+        assert np.array_equal(StateVector(amps).amplitudes, amps)
+    else:
+        assert _rejection(amps) == f"state norm is {norm!r}, expected 1"
+
+
+def test_states_near_the_tolerance_are_judged_by_numpys_norm():
+    rng = np.random.default_rng(33)
+    accepted = 0
+    for _ in range(400):
+        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        a *= (1.0 + rng.uniform(-2e-12, 2e-12)) / np.linalg.norm(a)
+        norm = float(np.linalg.norm(a))
+        if abs(norm - 1.0) <= 1e-12:
+            StateVector(a)
+            accepted += 1
+        else:
+            assert _rejection(a) == f"state norm is {norm!r}, expected 1"
+    assert 0 < accepted < 400
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)]
+)
+def test_non_finite_amplitudes_rejected(bad):
+    for amps in ([bad, 0.0, 0.0, 0.0], [0.6, 0.0, 0.8j, bad]):
+        assert _rejection(np.array(amps)) == "amplitudes contain NaN or Inf"
+
+
+def test_finite_amplitudes_whose_norm_overflows_rejected():
+    # the squared norm overflows in numpy's dot, which warns
+    for amps in ([1e200, 0.0, 0.0, 0.0], [1e200, 1e200j, -1e200, 1e200]):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert _rejection(np.array(amps)) == "state norm is inf, expected 1"
