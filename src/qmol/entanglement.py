@@ -1,11 +1,18 @@
 """Wootters concurrence for two charge qubits.
 
-The general construction takes the square roots of the eigenvalues of
-R = rho @ rho_tilde, where rho_tilde is the spin-flipped density matrix.
-R itself is not Hermitian; its spectrum is obtained from the Hermitian
-proxy sqrt(rho) @ rho_tilde @ sqrt(rho), which shares it, so the core
-Jacobi eigensolver can be reused.  For pure states the closed-form
-shortcut 2|c_LL*c_RR - c_LR*c_RL| serves as an independent oracle.
+Wootters (PRL 80, 2245, 1998) defines C = max(0, l1 - l2 - l3 - l4), the
+l_i being the square roots, descending, of the eigenvalues of
+rho @ rho_tilde, with rho_tilde the spin-flipped density matrix.  The l_i
+are also the singular values of tau = L^T Y L, where rho = L L^H and
+Y = sigma_y (x) sigma_y (Wootters 1998; Uhlmann, PRA 62, 032307, 2000,
+for any antilinear conjugation).  `concurrence` uses that form: one
+Jacobi solve of rho gives L = V sqrt(D), Y is a signed reversal of rows,
+and a values-only solve of the Gram matrix tau^H tau gives the l_i
+squared.  No matrix square root is formed and nothing cancels near the
+separable states, where the l_i are small.  The Gram solve runs to
+1e-32 |tau^H tau|_F rather than the usual 1e-14, because its small
+eigenvalues enter C through their square roots.  For pure states the
+closed form 2|c_LL*c_RR - c_LR*c_RL| serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDensityMatrix, NotNormalized
-from .linalg import _hermitian_eigenvalues, hermitian_eigensolve
+from .linalg import _hermitian_eigenpairs, _hermitian_eigenvalues
 from .states import Basis, StateVector
 
 __all__ = [
@@ -26,26 +33,19 @@ __all__ = [
     "concurrence_from_amplitudes",
 ]
 
-# sigma_y (x) sigma_y over {|LL>, |LR>, |RL>, |RR>}: real, symmetric, involutive.
-_FLIP = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ],
-    dtype=complex,
-)
-_FLIP.setflags(write=False)
+# sigma_y (x) sigma_y over {|LL>, |LR>, |RL>, |RR>} is the reversal of the
+# basis with these signs: row i of Y @ m is _SIGNS[i] * m[3 - i]
+_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
+_SIGNS.setflags(write=False)
+_FLIP_SIGNS = _SIGNS * _SIGNS.T
+_FLIP_SIGNS.setflags(write=False)
 
 _TRACE_TOL = 1e-12
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-12
 _PURE_NORM_TOL = 1e-9
-# R-eigenvalues this far below the largest one sit at the round-off floor
-# of the sqrt(rho) sandwich; their square roots would inject O(1e-8) noise
-# (worst for rank-deficient rho), so they are zeroed before the sqrt.
-_R_RELATIVE_FLOOR = 1e-13
+# so that the l_i carry absolute errors near 1e-16 |tau|, as from an SVD
+_GRAM_OFF_TOL = 1e-32
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,18 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    return _FLIP @ rho.conj() @ _FLIP
+    return _FLIP_SIGNS * rho.conj()[::-1, ::-1]
 
 
 def _validate_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidDensityMatrix(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.view(float))):
+    if not np.isfinite(rho).all():
         raise InvalidDensityMatrix("density matrix contains NaN or Inf")
     if float(np.abs(rho - rho.conj().T).max()) > _HERM_TOL:
         raise InvalidDensityMatrix("density matrix is not Hermitian within 1e-12")
-    trace = complex(np.trace(rho))
+    trace = complex(rho.trace())
     if abs(trace - 1.0) > _TRACE_TOL:
         raise InvalidDensityMatrix(f"trace is {trace!r}, expected 1 within 1e-12")
     return rho
@@ -93,28 +93,18 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
             positivity checks (eigenvalues below -1e-12).
     """
     rho = _validate_density(rho)
-    spectral = hermitian_eigensolve(rho)
-    if float(spectral.values[0]) < _EIG_FLOOR:
-        raise InvalidDensityMatrix(
-            f"negative eigenvalue {spectral.values[0]!r} below tolerance"
-        )
-    root_vals = np.sqrt(np.clip(spectral.values, 0.0, None))
-    sqrt_rho = (spectral.vectors * root_vals) @ spectral.vectors.conj().T
-    tilde = spin_flip(rho)
-    proxy = sqrt_rho @ tilde @ sqrt_rho
-    proxy = (proxy + proxy.conj().T) / 2.0
-    r_vals = _hermitian_eigenvalues(proxy)
-    if float(r_vals[0]) < _EIG_FLOOR:
-        raise InvalidDensityMatrix(
-            f"R-matrix eigenvalue {r_vals[0]!r} below tolerance"
-        )
-    floor = _R_RELATIVE_FLOOR * max(float(r_vals[-1]), 0.0)
-    r_vals = np.where(r_vals < floor, 0.0, r_vals)
-    lambdas = np.sqrt(np.clip(r_vals, 0.0, None))[::-1].copy()
+    values, vectors = _hermitian_eigenpairs(rho)
+    lowest = values.min()
+    if lowest < _EIG_FLOOR:
+        raise InvalidDensityMatrix(f"negative eigenvalue {lowest!r} below tolerance")
+    factor = vectors * np.sqrt(np.maximum(values, 0.0))
+    tau = factor.T @ (_SIGNS * factor[::-1])
+    r_vals = _hermitian_eigenvalues(tau.conj().T @ tau, off_tol=_GRAM_OFF_TOL)
+    lambdas = np.sqrt(np.maximum(r_vals, 0.0))[::-1].copy()
     value = lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]
     value = min(max(float(value), 0.0), 1.0)
     lambdas.setflags(write=False)
-    return ConcurrenceResult(value=value, lambdas=lambdas, rho_tilde=tilde)
+    return ConcurrenceResult(value=value, lambdas=lambdas, rho_tilde=spin_flip(rho))
 
 
 def concurrence_pure(psi: StateVector | np.ndarray) -> float:

@@ -12,7 +12,9 @@ Python numbers: floats with the batch kernel's arithmetic for one lane
 when the matrix has no imaginary part, complex numbers otherwise, in one
 rotation loop.  It serves every single solve (spectra, propagation,
 Wootters concurrence); `_hermitian_eigenvalues` runs the same loop
-without the eigenvector update for callers that read only the values.
+without the eigenvector update for callers that read only the values,
+and `_hermitian_eigenpairs` returns values and vectors unsorted, without
+the phase rule or flags, for callers that only need a factor of m.
 `symmetric_eigensolve_batch` takes a stack of real symmetric matrices
 and runs the iteration on numpy arrays, one lane per matrix; it serves
 every map, eigen and dynamics, where one Python solve per grid cell or
@@ -169,7 +171,8 @@ def hermitian_eigensolve(m: np.ndarray) -> EigenDecomposition:
     """
     diagonal, v, norm, exp, big = _jacobi(m, vectors=True)
     order = sorted(range(4), key=diagonal.__getitem__)
-    values = np.array([diagonal[k] for k in order])
+    ordered = [diagonal[k] for k in order]
+    values = np.array(ordered)
     # built from its columns, so that each column is contiguous: the phase
     # products below and later products with the vectors round by layout
     vectors = np.array([[row[k] for row in v] for k in order], dtype=complex).T
@@ -179,12 +182,12 @@ def hermitian_eigensolve(m: np.ndarray) -> EigenDecomposition:
         for comp in col:
             h = abs(comp)
             if h > _PHASE_FLOOR:
-                vectors[:, k] = col * (comp.conjugate() / h)
+                col *= comp.conjugate() / h
                 break
 
     # <=, so that exact ties such as those of the zero matrix are flagged
     gap_tol = _DEGENERACY_TOL * norm
-    flags = tuple(bool(values[k + 1] - values[k] <= gap_tol) for k in range(3))
+    flags = tuple(ordered[k + 1] - ordered[k] <= gap_tol for k in range(3))
     if exp:
         values = _unscale(values, exp, big)
     values.setflags(write=False)
@@ -192,11 +195,29 @@ def hermitian_eigensolve(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors, degenerate_pairs=flags)
 
 
-def _hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """`hermitian_eigensolve(m).values`, bit for bit, without the eigenvectors."""
-    diagonal, _, _, exp, big = _jacobi(m, vectors=False)
+def _hermitian_eigenvalues(m: np.ndarray, off_tol: float = _OFF_TOL) -> np.ndarray:
+    """`hermitian_eigensolve(m).values`, bit for bit, without the eigenvectors.
+
+    A smaller off_tol runs the iteration on until the off-diagonal norm is
+    at most off_tol * |m|_F, so that eigenvalues far below |m|_F carry
+    absolute errors near that bound instead of near 1e-14 * |m|_F; the
+    values then need not match `hermitian_eigensolve`'s bits.
+    """
+    diagonal, _, _, exp, big = _jacobi(m, vectors=False, off_tol=off_tol)
     values = np.array(sorted(diagonal))
     return _unscale(values, exp, big) if exp else values
+
+
+def _hermitian_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of m and a unitary of its eigenvectors, as the iteration leaves them.
+
+    Column k of the unitary belongs to values[k].  Neither is sorted, no
+    phase is fixed and no degeneracy is flagged: for callers that need only
+    some factor V diag(values) V^H of m.
+    """
+    diagonal, v, _, exp, big = _jacobi(m, vectors=True)
+    values = np.array(diagonal)
+    return (_unscale(values, exp, big) if exp else values), np.array(v, dtype=complex)
 
 
 def _max_abs(m: np.ndarray, a: list[list]) -> float:
@@ -218,12 +239,16 @@ def _max_abs(m: np.ndarray, a: list[list]) -> float:
     return float(_checked_max_abs(m))
 
 
-def _jacobi(m: np.ndarray, vectors: bool) -> tuple[list, list | None, float, int, float]:
+def _jacobi(
+    m: np.ndarray, vectors: bool, off_tol: float = _OFF_TOL
+) -> tuple[list, list | None, float, int, float]:
     """The cyclic Jacobi iteration on one checked matrix.
 
-    Returns the final diagonal (unsorted, at the iteration's scale), the
-    eigenvector rows (None unless `vectors`), the norm the tolerances are
-    relative to, the scale exponent and the largest |m_ij|.
+    The iteration stops once the off-diagonal norm is at most
+    off_tol * |m|_F.  Returns the final diagonal (unsorted, at the
+    iteration's scale), the eigenvector rows (None unless `vectors`), the
+    norm the tolerances are relative to, the scale exponent and the
+    largest |m_ij|.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
@@ -242,7 +267,7 @@ def _jacobi(m: np.ndarray, vectors: bool) -> tuple[list, list | None, float, int
     zero = kind(0)
 
     if norm > 0.0:
-        threshold = _OFF_TOL * norm
+        threshold = off_tol * norm
         skip = threshold / 8.0
         for _ in range(_MAX_SWEEPS):
             off = 0.0

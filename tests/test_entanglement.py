@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,131 @@ def test_rank_one_spectrum():
     result = concurrence(basis_state("PhiMinus").density_matrix())
     assert result.lambdas[0] == pytest.approx(1.0, abs=1e-8)
     assert np.abs(result.lambdas[1:]).max() < 1e-8
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def test_product_state_has_zero_concurrence():
+    psi = np.kron([0.6, 0.8j], [0.8, -0.6])
+    result = concurrence(np.outer(psi, psi.conj()))
+    assert result.value <= 1e-15
+    assert result.lambdas[0] <= 1e-8
+
+
+@pytest.mark.parametrize("distance", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+def test_near_product_pure_states_match_pure_formula(distance):
+    # psi = product + distance * w, normalized: no Gaussian draw comes this
+    # close to the separable states, where rounding in the construction
+    # matters most
+    rng = np.random.default_rng(2011)
+    worst = 0.0
+    for _ in range(200):
+        a, b = (_unit(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for _ in "ab")
+        w = _unit(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        psi = StateVector(_unit(np.kron(a, b) + distance * w), Basis.POSITIONAL)
+        gap = abs(concurrence(psi.density_matrix()).value - concurrence_pure(psi))
+        worst = max(worst, gap)
+    assert worst <= 1e-13
+
+
+# (concurrence, [(weight, vector), ...]): rho is the weighted sum of
+# |vector><vector| over its trace.  The entries are Gaussian integers and
+# the traces powers of two, so rho is exact in floating point; the
+# concurrences were computed from the same exact rho with 60-digit mpmath
+# (sqrt(rho) rho_tilde sqrt(rho) through mpmath.eighe).
+MIXED_REFERENCES = [
+    (0.9100137361600648, [(1, [-2 + 1j, 2j, -1 - 1j, 2 + 1j])]),
+    (0.3535533905932737, [(1, [0j, -1, -1 + 1j, 1 - 2j])]),
+    (0.39528470752104744, [(1, [2j, 1 + 1j, -2 + 1j, -2 + 1j])]),
+    (0.27950849718747367, [(2, [-1 + 1j, 1 - 2j, -1j, 2 + 2j])]),
+    (0.0, [(1, [1 + 1j, -1 + 1j, 1 + 1j, -1 + 1j])]),
+    (0.5561384555315796, [(2, [0j, 1, 2 + 2j, -1]), (2, [-2 + 1j, -2 + 2j, -1j, 2 + 2j])]),
+    (0.721238042226488, [(2, [-2j, -2, -2, 1 - 1j]), (2, [-2j, -2 + 1j, -2 - 2j, 1])]),
+    (0.328229025476364, [(1, [2j, -2 - 2j, 1, -2j]), (3, [0j, 1j, 2j, 0j])]),
+    (0.3502600227060792, [(2, [-2 + 2j, 1j, 1j, 2 + 1j]), (2, [-2 + 2j, 1 + 2j, 1 + 1j, 1 - 1j])]),
+    (0.0, [(1, [1 + 1j, -1 + 1j, 1 + 1j, -1 + 1j]), (2, [1, 1, 1, 1])]),
+    (
+        0.3825574223880636,
+        [(1, [-2, 1 - 1j, 2, 2 + 2j]), (2, [-2j, 2 + 1j, -1j, -2 + 2j]), (1, [-2, 2, 1 - 1j, 0j])],
+    ),
+    (
+        0.1414811000612647,
+        [
+            (2, [-2 + 2j, -1 - 2j, 1, 2 - 1j]),
+            (2, [2 - 2j, 2j, 2j, -1 + 1j]),
+            (3, [-2 - 1j, -2j, 1, -2 + 2j]),
+        ],
+    ),
+    (
+        0.6040314952577619,
+        [(1, [-2, 2j, -2j, 1 + 2j]), (2, [2j, 1 - 2j, -1 - 1j, -1 - 1j]), (1, [-2 + 2j, 2, -2j, -1 - 2j])],
+    ),
+    (
+        0.0,
+        [(2, [1j, 2j, 2 - 2j, 0j]), (3, [1 + 2j, 2 + 2j, -1 + 2j, -1 + 2j]), (3, [-2j, 1 + 2j, 1, 1])],
+    ),
+    (
+        0.07351624785389109,
+        [
+            (3, [2, 0j, -1, -2]),
+            (2, [-2 - 1j, 1 - 2j, -2j, 1]),
+            (3, [-1 - 2j, 2j, -1 + 1j, 2]),
+            (2, [-1 + 1j, -1 + 2j, -2j, -1 - 1j]),
+        ],
+    ),
+    (
+        0.13009348725119502,
+        [
+            (1, [-2 - 2j, -2 + 1j, -2, -1]),
+            (2, [-2j, -1 + 1j, 1 + 1j, 1 - 2j]),
+            (2, [1 + 1j, -2 - 2j, -2 - 1j, -2 - 1j]),
+            (2, [1 - 2j, 2, 2 - 2j, -2 - 1j]),
+        ],
+    ),
+    (
+        0.1410497030273925,
+        [
+            (2, [-1 - 2j, -1 - 2j, 1 - 1j, 1 + 2j]),
+            (1, [1j, -1j, -1 - 1j, 1]),
+            (2, [2 + 2j, 2 - 2j, -1, -2 - 1j]),
+            (3, [1 + 2j, 1 - 2j, 0j, 2 + 1j]),
+        ],
+    ),
+    (
+        0.0,
+        [
+            (1, [2 + 2j, 2j, 2 - 1j, 1 - 2j]),
+            (3, [-1j, 1 + 1j, 1j, -2 - 2j]),
+            (2, [-2 - 1j, -2 + 2j, 1 + 1j, -1 - 1j]),
+            (3, [1j, 1 + 2j, -1 + 1j, 2j]),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "expected, parts", MIXED_REFERENCES, ids=[f"rank{len(p)}-{i}" for i, (_, p) in enumerate(MIXED_REFERENCES)]
+)
+def test_mixed_states_against_high_precision_references(expected, parts):
+    rho = sum(w * np.outer(v, np.conj(v)) for w, v in parts).astype(complex)
+    trace = np.trace(rho).real
+    assert trace == 2.0 ** round(np.log2(trace))  # so that rho / trace is exact
+    rho = rho / trace
+    assert np.linalg.matrix_rank(rho) == len(parts)
+    assert abs(concurrence(rho).value - expected) <= 1e-13
+
+
+def test_negative_eigenvalue_reported_at_the_scale_of_rho():
+    # a 1e300 entry sends the solve of rho to a power-of-two scale; the
+    # message must carry rho's own eigenvalue, 1/4 - 1e300
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] = rho[1, 0] = 1e300
+    with pytest.raises(InvalidDensityMatrix, match="negative eigenvalue") as info:
+        concurrence(rho)
+    reported = float(re.search(r"np\.float64\((\S+)\)", str(info.value)).group(1))
+    assert reported == pytest.approx(-1e300, rel=1e-12)
 
 
 def test_spin_flip_involution_and_bell_invariance():

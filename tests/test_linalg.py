@@ -18,6 +18,7 @@ from qmol.linalg import (
     EigenDecomposition,
     _checked_max_abs,
     _frobenius,
+    _hermitian_eigenpairs,
     _hermitian_eigenvalues,
     _scale_exponent,
     _unscale,
@@ -386,10 +387,17 @@ def assert_same_bits(m):
     dec = hermitian_eigensolve(m)
     assert dec.values.tobytes() == ref.values.tobytes()
     assert dec.vectors.tobytes() == ref.vectors.tobytes()
-    # products with the vectors (propagation, sqrt(rho)) round by their layout
+    # products with the vectors (propagation) round by their layout
     assert dec.vectors.strides == ref.vectors.strides
     assert dec.degenerate_pairs == ref.degenerate_pairs
     assert _hermitian_eigenvalues(m).tobytes() == ref.values.tobytes()
+    # the unsorted factor: the same values, and vectors that rebuild m
+    # (m may be Hermitian only within the solver's 1e-12 tolerance)
+    values, vectors = _hermitian_eigenpairs(m)
+    assert np.array(sorted(values.tolist())).tobytes() == ref.values.tobytes()
+    scale = max(1.0, float(np.abs(m).max()))
+    assert np.abs((vectors * values) @ vectors.conj().T - m).max() <= 2e-12 * scale
+    assert np.abs(vectors.conj().T @ vectors - np.eye(4)).max() <= 1e-13
 
 
 def test_same_bits_on_random_complex_matrices():
@@ -412,9 +420,9 @@ def test_same_bits_on_positional_hamiltonians():
 def test_same_bits_on_density_matrices_and_r_proxies(monkeypatch):
     proxies = []
 
-    def record(m):
+    def record(m, **kwargs):
         proxies.append(np.array(m))
-        return _hermitian_eigenvalues(m)
+        return _hermitian_eigenvalues(m, **kwargs)
 
     monkeypatch.setattr(entanglement, "_hermitian_eigenvalues", record)
     rng = np.random.default_rng(1002)
@@ -510,3 +518,5 @@ def test_every_single_solve_raises_when_sweeps_run_out(monkeypatch):
             hermitian_eigensolve(m)
         with pytest.raises(ConvergenceError):
             _hermitian_eigenvalues(m)
+        with pytest.raises(ConvergenceError):
+            _hermitian_eigenpairs(m)

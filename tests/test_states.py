@@ -153,7 +153,11 @@ def test_non_finite_amplitudes_rejected(bad):
 
 
 def test_finite_amplitudes_whose_norm_overflows_rejected():
-    # the squared norm overflows in numpy's dot, which warns
-    for amps in ([1e200, 0.0, 0.0, 0.0], [1e200, 1e200j, -1e200, 1e200]):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert _rejection(np.array(amps)) == "state norm is inf, expected 1"
+    # their squares overflow, but the norm is found without them and
+    # without a warning; it is inf only where the norm itself overflows
+    for amps, norm in (
+        ([1e200, 0.0, 0.0, 0.0], "1e+200"),
+        ([1e200, 1e200j, -1e200, 1e200], "2e+200"),
+        ([1.5e308, 0.0, -1.5e308j, 0.0], "inf"),
+    ):
+        assert _rejection(np.array(amps)) == f"state norm is {norm}, expected 1"
