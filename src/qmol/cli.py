@@ -31,6 +31,7 @@ as FIFOs and /dev/null working as they did.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import stat
 import sys
@@ -405,8 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and kept for the process.
+
+    Building it takes about a millisecond, which a small request would
+    otherwise pay on every call; parsing leaves no state in it, since each
+    `parse_args` fills a new Namespace.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = build_config(args)
         return _DISPATCH[config.command](config)

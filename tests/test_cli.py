@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qmol.cli
 from qmol.cli import (
     RunConfig,
     build_parser,
@@ -439,6 +440,26 @@ def test_parser_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args(["wat"])
     assert info.value.code == 2
+
+
+def test_main_builds_one_parser_and_keeps_no_values_between_calls(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(qmol.cli, "build_parser", lambda: built.append(1) or build_parser())
+    qmol.cli._parser.cache_clear()
+    try:
+        outputs = []
+        for argv in (["--ratio", "0.1"], ["--d1", "2.5"], []):
+            code, out, err = run(capsys, "spectrum", *argv)
+            assert (code, err) == (0, "")
+            outputs.append(parse_metadata(out))
+    finally:
+        qmol.cli._parser.cache_clear()
+    assert len(built) == 1
+    assert (outputs[0]["d1"], outputs[0]["d2"]) == ("2.5", "2.5")
+    # neither --ratio nor --d1 leaks into the next call
+    assert (outputs[1]["d1"], outputs[1]["d2"]) == ("2.5", "0.0")
+    assert (outputs[2]["d1"], outputs[2]["d2"]) == ("0.0", "0.0")
+    assert build_parser() is not build_parser()
 
 
 def test_config_from_metadata_round_trip_values():

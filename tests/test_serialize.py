@@ -6,6 +6,9 @@ import pytest
 from qmol.dynamics import trajectory
 from qmol.hamiltonian import SystemParams
 from qmol.serialize import (
+    _BLOCK_VALUES,
+    _KERNEL_LIMIT,
+    _fmt6_blocks,
     fmt6,
     metadata_lines,
     parse_metadata,
@@ -185,3 +188,91 @@ def test_csv_matches_reference_on_real_outputs():
     assert trajectory_csv_bytes(traj, {}) == reference_trajectory_csv(traj, {})
     grid = eigen_concurrence_map(p, 2, -30.0, 30.0, 51)
     assert sweep_csv_bytes(grid, {}) == reference_sweep_csv(grid, {})
+
+
+# -- the word kernel against the per-value `fmt6` reference ---------------------
+
+
+def _fmt6_reference(block):
+    lines = "".join(",".join(fmt6(v) for v in row) + "\n" for row in block)
+    return lines.encode("ascii")
+
+
+def _assert_kernel_matches(values, width=6):
+    block = np.asarray(values, dtype=float).reshape(-1, width)
+    assert np.abs(block).max() < _KERNEL_LIMIT  # every value takes the kernel
+    assert b"".join(_fmt6_blocks(block)) == _fmt6_reference(block)
+
+
+def _with_neighbours_and_signs(x):
+    x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+    return np.concatenate([x, -x])
+
+
+def test_kernel_on_ties_and_their_neighbours():
+    # x * 1e6 is an exact half-integer only at the odd multiples of 1/128
+    top = 2 * (int(_KERNEL_LIMIT * 128) // 2) - 1
+    odd = np.concatenate([np.arange(1, 25_600, 2), top - 2 * np.arange(128)])
+    ties = _with_neighbours_and_signs(odd / 128.0)
+    _assert_kernel_matches(ties)
+
+
+def test_kernel_on_products_that_round_onto_a_half():
+    m = np.concatenate([np.arange(20_000), 7919 * np.arange(1, 11_000) ** 2])
+    half = m + 0.5
+    x = _with_neighbours_and_signs(half / 1e6)
+    x = x[(np.abs(x) * 1e6 == np.tile(half, 6)) & (x * 128 != np.floor(x * 128))]
+    # half of them round the other way from rint(x * 1e6)
+    rint = np.rint(np.abs(x) * 1e6)
+    exact = np.array([abs(int(fmt6(v).replace(".", ""))) for v in x])
+    assert len(x) > 60_000 and np.sum(exact != rint) > 30_000
+    _assert_kernel_matches(x, width=2)  # x holds both signs, so its length is even
+
+
+def test_kernel_on_signed_zeros_and_the_domain_edge():
+    largest = np.nextafter(_KERNEL_LIMIT, 0.0)
+    edges = [0.0, -0.0, -4.9999999e-7, -5e-7, 5e-324, -5e-324, largest, -largest]
+    assert [fmt6(v) for v in edges[:6]] == ["0.000000"] * 6
+    _assert_kernel_matches(edges, width=4)
+    above = np.nextafter(largest, np.inf)
+    beyond = np.array([[above, -1.0], [-above, np.nan], [np.inf, -np.inf]])
+    assert b"".join(_fmt6_blocks(beyond)) == _fmt6_reference(beyond)
+
+
+@pytest.mark.parametrize("width", [1, 2, 6, 7])
+def test_rows_that_straddle_a_block_boundary(width):
+    rows = _BLOCK_VALUES // width + 1
+    values = np.arange(rows * width, dtype=float).reshape(rows, width) / 7.0 - 100.0
+    assert len(_fmt6_blocks(values)) == 2
+    _assert_kernel_matches(values, width)
+    # a fallback block next to a kernel block
+    values[-1, 0] = np.nan
+    assert b"".join(_fmt6_blocks(values)) == _fmt6_reference(values)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 300), (300, 1)])
+def test_sweep_csv_one_row_and_one_column_shapes(rows, cols):
+    grid = SimpleNamespace(
+        x_axis=SimpleNamespace(values=np.linspace(-25.0, 25.0, cols)),
+        y_axis=SimpleNamespace(values=np.linspace(-3.0, 3.0, rows)),
+        values=np.linspace(0.0, 1.0, rows * cols).reshape(rows, cols),
+    )
+    meta = {"kind": "eigen"}
+    assert sweep_csv_bytes(grid, meta) == reference_sweep_csv(grid, meta)
+
+
+def test_trajectory_with_1_128_ns_steps_prints_its_ties():
+    p = SystemParams(delta1=2.0, delta2=1.0, j=25.0)
+    traj = trajectory(p, basis_state("RL"), 1.0, 129)
+    assert traj.times[1] == 1.0 / 128.0 and fmt6(traj.times[1]) == "0.007812"
+    assert trajectory_csv_bytes(traj, {}) == reference_trajectory_csv(traj, {})
+
+
+def test_field_bytes_are_pinned_on_every_host():
+    # the '<u8' words fix the byte order, so these bytes do not depend on
+    # the host's endianness
+    assert _fmt6_blocks(np.array([[-12.5, 3.0]])) == [b"-12.500000,3.000000\n"]
+    row = np.array([[1 / 128, -3 / 128, -5e-7, 123456.789, 999999.4999999999, 1.0]])
+    assert _fmt6_blocks(row) == [
+        b"0.007812,-0.023438,0.000000,123456.789000,999999.500000,1.000000\n"
+    ]
