@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDensityMatrix, NotNormalized
+from .errors import (
+    InvalidDensityMatrix,
+    NonHermitianInput,
+    NotNormalized,
+    NumericOverflow,
+)
 from .linalg import _hermitian_eigenpairs, _hermitian_eigenvalues
 from .states import Basis, StateVector
 
@@ -41,7 +46,6 @@ _FLIP_SIGNS = _SIGNS * _SIGNS.T
 _FLIP_SIGNS.setflags(write=False)
 
 _TRACE_TOL = 1e-12
-_HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-12
 _PURE_NORM_TOL = 1e-9
 # so that the l_i carry absolute errors near 1e-16 |tau|, as from an SVD
@@ -71,29 +75,39 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
     return _FLIP_SIGNS * rho.conj()[::-1, ::-1]
 
 
-def _validate_density(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidDensityMatrix(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise InvalidDensityMatrix("density matrix contains NaN or Inf")
-    if float(np.abs(rho - rho.conj().T).max()) > _HERM_TOL:
-        raise InvalidDensityMatrix("density matrix is not Hermitian within 1e-12")
+def _check_trace(rho: np.ndarray) -> None:
     trace = complex(rho.trace())
     if abs(trace - 1.0) > _TRACE_TOL:
         raise InvalidDensityMatrix(f"trace is {trace!r}, expected 1 within 1e-12")
-    return rho
 
 
 def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     """Wootters concurrence of a two-qubit density matrix.
 
+    The factor solve of rho is also its finiteness and Hermiticity check,
+    within 1e-12 * max(1, max |rho_ij|); the checks run, and report, in
+    the order finite, Hermitian, trace, positive.
+
     Raises:
         InvalidDensityMatrix: if rho fails the Hermiticity, trace, or
             positivity checks (eigenvalues below -1e-12).
     """
-    rho = _validate_density(rho)
-    values, vectors = _hermitian_eigenpairs(rho)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise InvalidDensityMatrix(f"expected a 4x4 matrix, got shape {rho.shape}")
+    try:
+        values, vectors = _hermitian_eigenpairs(rho)
+    except NonHermitianInput:
+        if not np.isfinite(rho).all():
+            raise InvalidDensityMatrix("density matrix contains NaN or Inf") from None
+        raise InvalidDensityMatrix(
+            "density matrix is not Hermitian within 1e-12"
+        ) from None
+    except NumericOverflow:
+        # eigenvalues beyond the double range: a bad trace is reported first
+        _check_trace(rho)
+        raise
+    _check_trace(rho)
     lowest = values.min()
     if lowest < _EIG_FLOOR:
         raise InvalidDensityMatrix(f"negative eigenvalue {lowest!r} below tolerance")

@@ -21,9 +21,16 @@ every map, eigen and dynamics, where one Python solve per grid cell or
 row used to dominate the run time.  For a single matrix the numpy call
 overhead makes the batch kernel several times slower, so it does not
 replace the scalar one.  The batch kernel repeats the scalar kernel's
-arithmetic operation for operation, both accept the same matrices, and
-they share the Frobenius norm and the power-of-two scaling below, so for
-a real symmetric matrix the two return the same bits.
+rotation arithmetic operation for operation, both accept the same
+matrices, and they share the Frobenius norm and the power-of-two scaling
+below, so for a real symmetric matrix the two return the same bits.  Its
+tail works in the lanes' own layout and differs from the scalar kernel
+only where that cannot change a bit: the stop test sums x * x instead of
+libm's pow(|x|, 2), which is within 1 ulp of it, so the norms differ by
+under about 1e-15 relative and only lanes within 1e-12 of their
+threshold are decided again with pow; and each lane's four values are
+sorted by a network of adjacent compare-exchanges on strict >, which is
+stable as the scalar kernel's sorted() is.
 
 Matrices whose largest entry lies outside [2**-461, 2**500] are scaled by
 an exact power of two before the iteration, so that squares and the
@@ -60,6 +67,11 @@ _HERM_TOL = 1e-12
 _PHASE_FLOOR = 1e-9
 _DEGENERACY_TOL = 1e-9
 _MAX_SWEEPS = 60
+# lanes whose off-diagonal norm from x * x lies this close to the stop
+# threshold, relative to it, are decided again with libm pow (_jacobi_lanes)
+_STOP_BAND = 1e-12
+# the compare-exchanges (i, i + 1) of a bubble sort of four values
+_SORT_NETWORK = (0, 1, 2, 0, 1, 0)
 # The squares of the off-diagonal entries the iteration rotates (those above
 # threshold / 8, with threshold = 1e-14 * |m|_F >= 1e-14 * max|m_ij|) stay
 # normal, and so round alike at every power-of-two scale, when
@@ -115,7 +127,11 @@ def _checked_max_abs(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonHermitianInput("matrix contains NaN or Inf entries")
     big = np.abs(m).max(axis=(-2, -1))
-    asym = np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1))
+    # a real matrix is its own conjugate: no conjugated copy to make
+    adjoint = np.swapaxes(m, -2, -1)
+    if np.iscomplexobj(m):
+        adjoint = adjoint.conj()
+    asym = np.abs(m - adjoint).max(axis=(-2, -1))
     if np.any(asym > _HERM_TOL * np.maximum(1.0, big)):
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
     return big
@@ -326,7 +342,13 @@ def symmetric_eigensolve_batch(
     matrix, with its own norm, thresholds and convergence test, and leaves
     the iteration as soon as it has converged.  Order, phase and
     degeneracy rules are those of `hermitian_eigensolve`, whose results
-    for a real symmetric matrix are real and equal these bit for bit.
+    for a real symmetric matrix are real and equal these bit for bit:
+    every lane stops at the scalar kernel's sweep (the x * x stop test
+    defers to libm pow within 1e-12 of the threshold, see `_jacobi_lanes`),
+    and the sort is a network of adjacent compare-exchanges on strict >,
+    stable as the scalar kernel's sort is.  Sort and phase rule run on the
+    iteration's lane-major arrays; only the returned arrays are laid out
+    (N, ...), C-contiguous.  The input stack is never written to.
 
     Returns:
         values: (N, 4) eigenvalues, ascending per matrix.
@@ -354,35 +376,60 @@ def symmetric_eigensolve_batch(
     norm = _frobenius(h)
     values, vectors = _jacobi_lanes(h, norm)
 
-    order = np.argsort(values, axis=1, kind="stable")
-    values = np.take_along_axis(values, order, axis=1)
-    vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+    # a stable sort of each lane: bubble sort's compare-exchanges of
+    # adjacent values on strict >, so that equal values (exact ties, -0.0
+    # and 0.0) keep their order, as in the scalar kernel's sorted()
+    for i in _SORT_NETWORK:
+        swap = values[i] > values[i + 1]
+        pair = values[i : i + 2]
+        pair[...] = np.where(swap, pair[::-1], pair)
+        cols = vectors[:, i : i + 2]
+        cols[...] = np.where(swap, cols[:, ::-1], cols)
 
-    # first component above the floor in each column, made positive; the
-    # factor is comp * (1 / |comp|), as numpy evaluates the scalar
-    # kernel's comp.conjugate() / h, not comp / |comp|
+    # first component above the floor in each column (rows taken from the
+    # last up, so that the first one wins), made positive; the factor is
+    # comp * (1 / |comp|), as numpy evaluates the scalar kernel's
+    # comp.conjugate() / h, not comp / |comp|
     above = np.abs(vectors) > _PHASE_FLOOR
-    found = above.any(axis=1)
-    lead = np.take_along_axis(vectors, np.argmax(above, axis=1)[:, None, :], axis=1)
-    lead = np.where(found, lead[:, 0, :], 1.0)
-    vectors = vectors * (lead * (1.0 / np.abs(lead)))[:, None, :]
+    lead = np.where(above[3], vectors[3], 1.0)
+    for i in (2, 1, 0):
+        lead = np.where(above[i], vectors[i], lead)
+    vectors *= lead * (1.0 / np.abs(lead))
 
-    flags = np.diff(values, axis=1) <= (_DEGENERACY_TOL * norm)[:, None]
+    flags = values[1:] - values[:-1] <= _DEGENERACY_TOL * norm
     if scaled:
-        values = _unscale(values, exp[:, None], big)
-    return values, vectors, flags
+        values = _unscale(values, exp, big)
+    # C-contiguous (N, 4, 4) vectors, as the callers' products with them
+    # round by memory layout
+    return (
+        np.ascontiguousarray(values.T),
+        np.ascontiguousarray(vectors.transpose(2, 0, 1)),
+        np.ascontiguousarray(flags.T),
+    )
 
 
 def _jacobi_lanes(h: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unsorted eigenvalues (N, 4) and eigenvectors (N, 4, 4) of a checked stack.
+    """Unsorted eigenvalues (4, N) and eigenvectors (4, 4, N) of a checked stack.
 
     a[i][j] holds entry (i, j) of every unconverged matrix as one array,
     with a[j][i] the same object; v[i, j] likewise for the eigenvectors.
+    Both results are lane-major, as the iteration holds them: values[k, n]
+    is diagonal entry k of lane n, and vectors[:, k, n] its eigenvector.
     Converged lanes are copied out and dropped at the start of a sweep.
+
+    The scalar kernel's stop test sums abs(x) ** 2, i.e. libm pow, which
+    differs from x * x in the last bit for about 1 input in 1000.  Here
+    the sum is of x * x: pow(x, 2) is within 1 ulp and x * x correctly
+    rounded, so the two sums of six non-negative squares, and the norms
+    sqrt(2 * off) taken of them, differ by under about 1e-15 relative.
+    Only a lane whose norm lies within _STOP_BAND * threshold of its
+    threshold can be decided differently, and only such lanes are
+    decided again with the pow sum; every lane stops at the sweep the
+    scalar kernel stops at.
     """
     n = h.shape[0]
-    values = np.empty((n, 4))
-    vectors = np.empty((n, 4, 4))
+    values = np.empty((4, n))
+    vectors = np.empty((4, 4, n))
     a = _symmetric_lanes(np.ascontiguousarray(h.transpose(1, 2, 0)), slice(None))
     v = np.zeros((4, 4, n))
     for k in range(4):
@@ -391,17 +438,23 @@ def _jacobi_lanes(h: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarr
     threshold = _OFF_TOL * norm
     skip = threshold / 8.0
     for _ in range(_MAX_SWEEPS):
-        # abs(x) ** 2 as the scalar kernel computes it: libm pow, which
-        # differs from x * x in the last bit for about 1 input in 1000
-        off = np.float_power(np.abs(a[0][1]), 2.0)
+        off = a[0][1] * a[0][1]
         for p, q in _PAIRS[1:]:
-            off = off + np.float_power(np.abs(a[p][q]), 2.0)
-        done = np.sqrt(2.0 * off) <= threshold
+            off = off + a[p][q] * a[p][q]
+        root = np.sqrt(2.0 * off)
+        done = root <= threshold
+        near = np.abs(root - threshold) <= _STOP_BAND * threshold
+        if near.any():
+            # the scalar kernel's sum of abs(x) ** 2, through libm pow
+            off = np.float_power(np.abs(a[0][1][near]), 2.0)
+            for p, q in _PAIRS[1:]:
+                off = off + np.float_power(np.abs(a[p][q][near]), 2.0)
+            done[near] = np.sqrt(2.0 * off) <= threshold[near]
         if done.any():
             out = lanes[done]
             for k in range(4):
-                values[out, k] = a[k][k][done]
-            vectors[out] = np.moveaxis(v[:, :, done], 2, 0)
+                values[k, out] = a[k][k][done]
+            vectors[:, :, out] = v[:, :, done]
             keep = ~done
             lanes, threshold, skip = lanes[keep], threshold[keep], skip[keep]
             a = _symmetric_lanes(a, keep)

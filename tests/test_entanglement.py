@@ -288,6 +288,48 @@ def test_rejects_nan():
         concurrence(rho)
 
 
+# trace 2, and eigenvalues near 5e308 that do not fit in a double
+_HUGE_OFF_DIAGONAL = np.full((4, 4), 1.7e308) * (1.0 - np.eye(4)) + np.eye(4) / 2.0
+
+
+def _rho_with(diagonal, **entries):
+    rho = np.diag(diagonal).astype(complex)
+    for key, value in entries.items():
+        rho[int(key[1]), int(key[2])] = value
+    return rho
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (_rho_with([0.25] * 4, e22=np.nan), "contains NaN or Inf"),
+        # every check fails: finiteness is reported first
+        (_rho_with([1.0] * 4, e03=np.inf), "contains NaN or Inf"),
+        (_rho_with([1.0] * 4, e01=0.3), "not Hermitian within 1e-12"),
+        (_rho_with([2.0, 0.5, -0.1, 0.0]), "trace is"),
+        # eigenvalues beyond the double range: the trace is reported, not the overflow
+        (_HUGE_OFF_DIAGONAL, r"trace is \(2\+0j\)"),
+        (_rho_with([0.6, 0.5, -0.1, 0.0]), "negative eigenvalue"),
+        (np.eye(3) / 3.0, "expected a 4x4 matrix"),
+    ],
+)
+def test_density_checks_report_in_order(rho, message):
+    """Finite, Hermitian, trace, positive: the first check that fails names the fault."""
+    with pytest.raises(InvalidDensityMatrix, match=message):
+        concurrence(rho)
+
+
+def test_hermiticity_tolerance_follows_the_largest_entry():
+    # the solve of rho checks Hermiticity within 1e-12 * max|rho_ij|; a
+    # matrix with an entry above 1 is no density matrix and still raises
+    rho = _rho_with([0.25] * 4, e01=5.0, e10=5.0 + 2e-12)
+    with pytest.raises(InvalidDensityMatrix, match="negative eigenvalue"):
+        concurrence(rho)
+    rho[1, 0] = 5.0 + 1e-10
+    with pytest.raises(InvalidDensityMatrix, match="not Hermitian"):
+        concurrence(rho)
+
+
 def test_pure_rejects_unnormalized_array():
     with pytest.raises(NotNormalized):
         concurrence_pure(np.array([1.0, 1.0, 0.0, 0.0]))

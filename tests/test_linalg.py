@@ -1,3 +1,4 @@
+import itertools
 from math import sqrt
 
 import numpy as np
@@ -228,6 +229,92 @@ def test_batch_handles_an_empty_stack():
     values, vectors, flags = symmetric_eigensolve_batch(np.zeros((0, 4, 4)))
     assert values.shape == (0, 4) and vectors.shape == (0, 4, 4)
     assert flags.shape == (0, 3)
+
+
+def _pow_norm(h):
+    """The scalar kernel's stop-test norm of each matrix, sqrt(2 * sum abs(x) ** 2)."""
+    off = 0.0
+    for p, q in _PAIRS:
+        off = off + np.float_power(np.abs(h[:, p, q]), 2.0)
+    return np.sqrt(2.0 * off)
+
+
+def test_lane_stop_test_decides_as_libm_pow_at_the_threshold(monkeypatch):
+    """The lanes sum x * x and decide again with pow near the threshold, so
+    a threshold exactly at the pow-based norm, or one ulp either side of
+    it, stops a lane exactly where the pow-based test stops it."""
+    rng = np.random.default_rng(1301)
+    h = random_symmetric(rng, 20000)
+    square = 0.0
+    for p, q in _PAIRS:
+        square = square + h[:, p, q] * h[:, p, q]
+    square_norm = np.sqrt(2.0 * square)
+    pow_norm = _pow_norm(h)
+    # libm pow(x, 2) is not correctly rounded, so some norms differ
+    differ = square_norm != pow_norm
+    assert differ.any()
+    h = np.concatenate([h[differ], h[~differ][:20]])
+    pow_norm = _pow_norm(h)
+    square_norm = np.concatenate([square_norm[differ], square_norm[~differ][:20]])
+    # with _OFF_TOL = 1 the threshold of a lane is the norm passed in
+    monkeypatch.setattr(linalg, "_OFF_TOL", 1.0)
+    square_alone_wrong = 0
+    below, above = np.nextafter(pow_norm, 0.0), np.nextafter(pow_norm, np.inf)
+    for threshold in (below, pow_norm, above):
+        values, vectors = linalg._jacobi_lanes(h, threshold)
+        # a lane that stops at the first test is returned as it came in
+        stopped = (vectors == np.eye(4)[:, :, None]).all(axis=(0, 1))
+        assert np.array_equal(stopped, pow_norm <= threshold)
+        diagonal = np.diagonal(h[stopped], axis1=1, axis2=2).T
+        assert np.array_equal(values[:, stopped], diagonal)
+        square_alone_wrong += np.count_nonzero((square_norm <= threshold) != stopped)
+    # the band is what decided these lanes: x * x alone would not have
+    assert square_alone_wrong > 0
+
+
+def test_sorting_network_keeps_ties_and_signed_zeros_in_order():
+    """The compare-exchanges swap only on strict >, so equal values, -0.0
+    beside 0.0 among them, keep the order of the scalar kernel's stable
+    sort: values and vectors bit for bit."""
+    # every ordering, kept in a list: a set would merge -0.0 into 0.0
+    diagonals = list(itertools.product((0.0, -0.0), repeat=4))
+    for entries in ((1.0, 1.0, -0.0, 0.0), (-1.0, -0.0, 0.0, 2.0), (3.0, 3.0, 3.0, -3.0)):
+        diagonals += itertools.permutations(entries)
+    h = np.zeros((len(diagonals), 4, 4))
+    h[:, range(4), range(4)] = diagonals
+    # two blocks whose rotations end in the exact ties -1, -1, 1, 1
+    swap_pairs = np.zeros((4, 4))
+    swap_pairs[0, 1] = swap_pairs[1, 0] = swap_pairs[2, 3] = swap_pairs[3, 2] = 1.0
+    h = np.concatenate([h, swap_pairs[None], -swap_pairs[None]])
+    values, vectors, flags = symmetric_eigensolve_batch(h)
+    for k, m in enumerate(h):
+        dec = hermitian_eigensolve(m.astype(complex))
+        assert values[k].tobytes() == dec.values.tobytes()
+        assert vectors[k].tobytes() == np.ascontiguousarray(dec.vectors.real).tobytes()
+        assert tuple(flags[k].tolist()) == dec.degenerate_pairs
+
+
+@pytest.mark.parametrize("case", ["empty", "one", "entry_major"])
+def test_batch_leaves_the_input_stack_unchanged(case):
+    """The lanes start as views of the input wherever numpy allows one: for
+    one matrix, h.transpose(1, 2, 0) is already contiguous, and for a
+    stack from _positional_matrices it is the entry-major array itself."""
+    if case == "empty":
+        h = np.zeros((0, 4, 4))
+    elif case == "one":
+        h = random_symmetric(np.random.default_rng(1302), 1)
+    else:
+        e = np.linspace(-25.0, 25.0, 7)
+        h = _positional_matrices(e, e[::-1], 1.5, 2.5, 25.0)
+        assert h.transpose(1, 2, 0).flags.c_contiguous
+    before = h.copy()
+    values, vectors, flags = symmetric_eigensolve_batch(h)
+    assert h.tobytes() == before.tobytes()
+    for out in (values, vectors, flags):
+        assert out.flags.c_contiguous
+        assert not np.shares_memory(out, h)
+    if len(h):
+        assert_batch_matches_scalar(h)
 
 
 def test_batch_rejects_bad_input():
