@@ -70,8 +70,26 @@ def _evolve(energies, vectors, amps0, times) -> np.ndarray:
             f"which the phases do not hold six decimals; shorten the time span"
         )
     coeffs = vectors.conj().T @ amps0
-    phases = np.exp(-1j * np.outer(times, energies) / HBAR_UEV_NS)
-    return (phases * coeffs) @ vectors.T
+    phases = _phase_arguments(times, energies)
+    np.exp(phases, out=phases)
+    phases *= coeffs
+    return phases @ vectors.T
+
+
+def _phase_arguments(times, energies) -> np.ndarray:
+    """The bits of -1j * np.outer(times, energies) / HBAR_UEV_NS, in real arithmetic.
+
+    numpy's complex product with -1j gives the real part +0.0 and the
+    imaginary part -(t * E) = t * -E, and its complex quotient by a real
+    hbar multiplies both parts by 1 / hbar, which leaves the real part
+    +0.0; so only the imaginary parts are computed, with one real multiply
+    of the outer product and one scaling.
+    """
+    phases = np.zeros((times.shape[0], energies.shape[0]), dtype=complex)
+    imag = phases.imag
+    np.multiply.outer(times, -energies, out=imag)
+    imag *= 1.0 / HBAR_UEV_NS
+    return phases
 
 
 def _checked_time(t) -> float:
@@ -307,7 +325,11 @@ class Trajectory:
     concurrence: np.ndarray
 
     def __post_init__(self) -> None:
-        sums = self.populations.sum(axis=1)
+        p = self.populations
+        # the order of p.sum(axis=1), without its reduction loop per row
+        sums = p[:, 0] + p[:, 1]
+        sums += p[:, 2]
+        sums += p[:, 3]
         # written so that NaN fails it
         if not float(np.abs(sums - 1.0).max()) <= _POP_SUM_TOL:
             raise ConvergenceError("propagation lost normalization beyond 1e-10")

@@ -76,7 +76,11 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
 
 
 def _check_trace(rho: np.ndarray) -> None:
-    trace = complex(rho.trace())
+    # rho.trace() in its own order, a pairwise sum after numpy's zero
+    # start, but in Python arithmetic, which overflows to inf without the
+    # RuntimeWarning that numpy's reduction prints
+    d0, d1, d2, d3 = rho.diagonal().tolist()
+    trace = 0j + ((d0 + d1) + (d2 + d3))
     if abs(trace - 1.0) > _TRACE_TOL:
         raise InvalidDensityMatrix(f"trace is {trace!r}, expected 1 within 1e-12")
 

@@ -149,13 +149,20 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
 
     Computed as np.linalg.norm computes it for one complex matrix: one
     BLAS dot over the real parts and one over the imaginary parts, both
-    read from the complex layout.  Real input is laid out as complex
-    first, because a dot over contiguous reals sums in another order and
-    can differ in the last bit; this way both kernels get the same norm,
-    and so the same thresholds, for the same matrix.
+    read from the complex layout.  Real input is read at the complex
+    layout's stride, from a float buffer with a gap after each entry,
+    because a dot over contiguous reals sums in another order and can
+    differ in the last bit; its imaginary dot would add exactly +0.0, so
+    it is left out.  This way both kernels get the same norm, and so the
+    same thresholds, for the same matrix.
     """
-    flat = np.asarray(m, dtype=complex).reshape(m.shape[:-2] + (16,))
-    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    if np.iscomplexobj(m):
+        flat = m.reshape(m.shape[:-2] + (16,))
+        return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    spaced = np.empty(m.shape + (2,))
+    spaced[..., 0] = m
+    flat = spaced[..., 0].reshape(m.shape[:-2] + (16,))
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def _unscale(values: np.ndarray, exp: np.ndarray, big: np.ndarray) -> np.ndarray:

@@ -28,6 +28,12 @@ which is correctly rounded with ties to even, and `0.000000` in place of
   a fraction word `.ddd` `ddd` followed by `,` or a newline.  The words are
   little-endian (`'<u8'`), so their bytes are the same on every host;
   deleting the zero bytes from the block's words leaves its CSV text.
+- Narrow blocks.  A block whose rounded values all lie in
+  0 <= k < 10**7, so that every field is `d.dddddd` (trajectory and
+  tunneling-map bodies whose times and ratios lie in [0, 10)), is written
+  as packed 9-byte records: the integer digit as one byte, then the
+  fraction word.  Its bytes are the text as they stand, with no zero
+  bytes to delete.  Any other block takes the words.
 - Fallback.  A block that holds a NaN, an infinity or a magnitude of at
   least `_KERNEL_LIMIT` is printed with one `%` operation for the block,
   as before.  Only this route prints `nan`, `inf` or integer parts wider
@@ -61,7 +67,7 @@ __all__ = [
 #: at least one row).
 _BLOCK_VALUES = 8192
 
-#: Blocks whose largest |x| lies below this go through the word kernel: x * 1e6
+#: Blocks whose largest |x| lies below this go through the numpy kernel: x * 1e6
 #: then rounds to at most 999 999 500 000, whose six integer digits fit the
 #: integer word after its sign byte.  NaN compares false.
 _KERNEL_LIMIT = 999999.5
@@ -95,6 +101,8 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
 
 
 _MINUS = np.uint64(ord("-"))
+#: A field of a narrow block: its one integer digit, then the fraction word.
+_RECORD = np.dtype([("digit", "u1"), ("frac", "<u8")])
 _COMMA, _NEWLINE = (np.uint64(ord(c) << 56) for c in ",\n")
 
 
@@ -169,9 +177,18 @@ def _fmt6_block(block: np.ndarray, seps: np.ndarray) -> bytes:
     for i in np.flatnonzero(np.abs(scaled - micros) == 0.5):
         micros.flat[i] = int(("%.6f" % block.flat[i]).replace(".", ""))
     int_high_w, int_low_w, frac_high_w, frac_low_w = _digit_tables()
-    k = np.abs(micros).astype(np.int64)
+    k = micros.astype(np.int64)
+    narrow = k.min() >= 0 and k.max() < 10_000_000
+    if not narrow:
+        k = np.abs(k)
     milli = k // 1000
     whole = milli // 1000
+    frac = frac_high_w[milli - 1000 * whole] | frac_low_w[k - 1000 * milli] | seps
+    if narrow:
+        records = np.empty(block.shape, dtype=_RECORD)
+        records["digit"] = whole + ord("0")
+        records["frac"] = frac
+        return records.tobytes()
     int_high = whole // 1000
     words = np.empty(block.shape + (2,), dtype="<u8")
     words[..., 0] = (
@@ -179,8 +196,7 @@ def _fmt6_block(block: np.ndarray, seps: np.ndarray) -> bytes:
         | int_high_w[int_high]
         | int_low_w[whole - 1000 * int_high + 1000 * (int_high > 0)]
     )
-    frac_high = milli - 1000 * whole
-    words[..., 1] = frac_high_w[frac_high] | frac_low_w[k - 1000 * milli] | seps
+    words[..., 1] = frac
     return words.tobytes().translate(None, b"\0")
 
 

@@ -10,6 +10,9 @@ from qmol.dynamics import (
     MAX_OUTPUT_VALUES,
     MAX_PHASE,
     Trajectory,
+    _evolve,
+    _phase_arguments,
+    _sampled,
     analytic_populations,
     bell_condition,
     propagate,
@@ -25,6 +28,7 @@ from qmol.errors import (
     NumericOverflow,
 )
 from qmol.hamiltonian import SystemParams, build_positional
+from qmol.linalg import hermitian_eigensolve
 from qmol.spectrum import eigensystem
 from qmol.states import Basis, StateVector, basis_state
 from qmol.units import HBAR_UEV_NS
@@ -447,6 +451,52 @@ def test_trajectory_normalization_check_fails_on_nan():
             populations=populations,
             concurrence=np.zeros(2),
         )
+
+
+@pytest.mark.parametrize(
+    "energies",
+    [
+        [-37.5, -12.25, 3.0, 46.75],
+        [-0.0, 0.0, 1e-300, -1e-300],
+        [1e8, -1e8, 0.0, -0.0],
+        [1e-300, -3e-150, 7.0, -1e8],
+        [2.5e-7, -4.0e3, 6.1e5, -9.9e7],
+    ],
+)
+def test_phase_arguments_match_the_complex_expression(energies):
+    # the real arithmetic gives numpy's complex product and quotient bit for
+    # bit; a numpy that changes either fails here, not in a CSV byte
+    energies = np.array(energies)
+    edge = MAX_PHASE * HBAR_UEV_NS / np.abs(energies).max()
+    times = np.concatenate(
+        [np.linspace(0.0, edge, 1001), [np.nextafter(edge, 0.0), 1e-300, 5e-324, 0.0]]
+    )
+    expected = -1j * np.outer(times, energies) / HBAR_UEV_NS
+    assert _phase_arguments(times, energies).tobytes() == expected.tobytes()
+
+
+def test_evolution_matches_the_complex_expression():
+    rng = np.random.default_rng(1401)
+    for _ in range(20):
+        dec = hermitian_eigensolve(build_positional(random_params(rng)))
+        amps0 = random_state(rng).amplitudes
+        times = np.linspace(0.0, float(rng.uniform(0.1, 10.0)), 501)
+        coeffs = dec.vectors.conj().T @ amps0
+        phases = np.exp(-1j * np.outer(times, dec.values) / HBAR_UEV_NS)
+        expected = (phases * coeffs) @ dec.vectors.T
+        assert _evolve(dec.values, dec.vectors, amps0, times).tobytes() == expected.tobytes()
+
+
+def test_normalization_check_rejects_non_unitary_vectors():
+    dec = hermitian_eigensolve(build_positional(SystemParams(delta1=3.0, delta2=1.0)))
+    amps0 = basis_state("RL").amplitudes
+    times = np.linspace(0.0, 2.0, 101)
+    # populations scale by s**4: within 1e-10 of 1 for s = 1 + 1e-12, not for 1 + 1e-9
+    _sampled(dec.values, dec.vectors * (1.0 + 1e-12), amps0, times)
+    with pytest.raises(ConvergenceError, match="lost normalization"):
+        _sampled(dec.values, dec.vectors * (1.0 + 1e-9), amps0, times)
+    with pytest.raises(ConvergenceError, match="lost normalization"):
+        _sampled(dec.values, dec.vectors[:, ::-1] * [1.0, 1.0, 1.0, 0.5], amps0, times)
 
 
 def test_trajectory_accepts_bell_initial_state():

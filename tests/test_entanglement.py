@@ -319,6 +319,27 @@ def test_density_checks_report_in_order(rho, message):
         concurrence(rho)
 
 
+def test_overflowing_trace_raises_the_trace_error_without_a_warning():
+    # the suite turns warnings into errors, so a RuntimeWarning from the
+    # trace's sum would replace the typed error
+    message = "trace is (inf+0j), expected 1 within 1e-12"
+    with pytest.raises(InvalidDensityMatrix, match=re.escape(message)):
+        concurrence(np.full((4, 4), 1.7e308, dtype=complex))
+
+
+def test_trace_error_reports_numpys_trace():
+    rng = np.random.default_rng(1401)
+    cases = [np.zeros((4, 4)), np.full((4, 4), -0.0), np.diag([-0.0, 0.0, -0.0, -0.0])]
+    for _ in range(200):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        cases.append((g + g.conj().T) * 10.0 ** rng.uniform(-3, 3))
+    for rho in cases:
+        rho = np.asarray(rho, dtype=complex)
+        message = f"trace is {complex(rho.trace())!r}, expected 1"
+        with pytest.raises(InvalidDensityMatrix, match=re.escape(message)):
+            concurrence(rho)
+
+
 def test_hermiticity_tolerance_follows_the_largest_entry():
     # the solve of rho checks Hermiticity within 1e-12 * max|rho_ij|; a
     # matrix with an entry above 1 is no density matrix and still raises

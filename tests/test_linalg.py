@@ -231,6 +231,30 @@ def test_batch_handles_an_empty_stack():
     assert flags.shape == (0, 3)
 
 
+def _random_stacks():
+    rng = np.random.default_rng(1401)
+    real = random_symmetric(rng, 40)
+    cplx = real + 1j * rng.standard_normal((40, 4, 4))
+    entry_major = np.ascontiguousarray(real.transpose(1, 2, 0)).transpose(2, 0, 1)
+    e = np.linspace(-25.0, 25.0, 9)
+    zeros = np.zeros((3, 4, 4))
+    zeros[1] = -0.0
+    zeros[2, 0, 1] = zeros[2, 1, 0] = -0.0
+    stacks = [real, cplx, entry_major, _positional_matrices(e, e[::-1], 1.5, 2.5, 25.0), zeros]
+    stacks.append(np.ascontiguousarray(cplx.transpose(1, 2, 0)).transpose(2, 0, 1))
+    stacks += [real * 2.0**k for k in (-600, -500, 500, 600)]
+    stacks += [np.zeros((0, 4, 4)), real[:1], cplx[:1], real[0], cplx[0]]
+    return stacks
+
+
+def test_frobenius_matches_numpy_norm_of_each_complex_matrix():
+    for m in _random_stacks():
+        with np.errstate(over="ignore"):
+            norms = _frobenius(m)
+            expected = [np.linalg.norm(a.astype(complex)) for a in m.reshape(-1, 4, 4)]
+        assert norms.tobytes() == np.array(expected).reshape(m.shape[:-2]).tobytes()
+
+
 def _pow_norm(h):
     """The scalar kernel's stop-test norm of each matrix, sqrt(2 * sum abs(x) ** 2)."""
     off = 0.0

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qmol import serialize
 from qmol.dynamics import trajectory
 from qmol.hamiltonian import SystemParams
 from qmol.serialize import (
@@ -18,7 +19,7 @@ from qmol.serialize import (
     trajectory_csv_bytes,
 )
 from qmol.states import basis_state
-from qmol.sweep import eigen_concurrence_map
+from qmol.sweep import dynamics_tunneling_map, eigen_concurrence_map
 
 
 def test_fmt6_basic():
@@ -276,3 +277,66 @@ def test_field_bytes_are_pinned_on_every_host():
     assert _fmt6_blocks(row) == [
         b"0.007812,-0.023438,0.000000,123456.789000,999999.500000,1.000000\n"
     ]
+
+
+# -- narrow blocks: one integer digit, no sign, packed 9-byte records ------------
+
+
+def _poison_integer_words(monkeypatch):
+    """Integer words that spell `X`s.  The record route never reads them, so
+    a block prints right with them only if it took that route."""
+    int_high, int_low, frac_high, frac_low = serialize._digit_tables()
+    poison = np.uint64(int.from_bytes(b"X" * 8, "little"))
+    tables = (np.full_like(int_high, poison), np.full_like(int_low, poison))
+    monkeypatch.setattr(serialize, "_digit_tables", lambda: tables + (frac_high, frac_low))
+
+
+@pytest.fixture
+def words_poisoned(monkeypatch):
+    _poison_integer_words(monkeypatch)
+
+
+def _narrow_values():
+    odd = np.arange(1, 10 * 128, 2)  # the ties below 10
+    ties = odd / 128.0
+    ties = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+    # 9.9999995 * 1e6 rounds onto 9999999.5, which rint would take to 10**7
+    edges = [0.0, -0.0, -4.9999999e-7, -5e-7, 5e-324, -5e-324, 9.9999994, 9.9999995]
+    rng = np.random.default_rng(1401)
+    return np.concatenate([edges, ties, rng.uniform(0.0, 9.9999994, 4000)])
+
+
+@pytest.mark.parametrize("width", [1, 2, 6, 7])
+def test_narrow_blocks_take_the_record_route(width, words_poisoned):
+    values = _narrow_values()
+    values = values[: len(values) // width * width].reshape(-1, width)
+    assert all(len(fmt6(v)) == 8 and fmt6(v)[0] != "-" for v in values.flat)
+    assert b"".join(_fmt6_blocks(values)) == _fmt6_reference(values)
+
+
+@pytest.mark.parametrize("width", [1, 6, 7])
+def test_narrow_rows_that_straddle_a_block_boundary(width, words_poisoned):
+    rows = _BLOCK_VALUES // width + 1
+    values = np.linspace(0.0, 9.99, rows * width).reshape(rows, width)
+    assert len(_fmt6_blocks(values)) == 2
+    assert b"".join(_fmt6_blocks(values)) == _fmt6_reference(values)
+
+
+@pytest.mark.parametrize("wide", [10.0, -1e-6, 9.999999500000001, -5.0000001e-7])
+def test_one_wide_value_sends_the_block_to_the_word_route(wide, monkeypatch):
+    values = _narrow_values()[:600].reshape(-1, 6)
+    values[17, 3] = wide
+    assert fmt6(wide) in ("10.000000", "-0.000001")
+    assert fmt6(np.nextafter(9.999999500000001, 0.0)) == "9.999999"
+    assert b"".join(_fmt6_blocks(values)) == _fmt6_reference(values)
+    # with the integer words poisoned the block prints them: the word route
+    _poison_integer_words(monkeypatch)
+    assert b"X" in b"".join(_fmt6_blocks(values))
+
+
+def test_trajectory_and_tunneling_map_bodies_are_narrow(words_poisoned):
+    p = SystemParams(delta1=3.0, delta2=1.0, j=25.0)
+    traj = trajectory(p, basis_state("LR"), 9.9999994, 3001)
+    assert trajectory_csv_bytes(traj, {}) == reference_trajectory_csv(traj, {})
+    grid = dynamics_tunneling_map(SystemParams(), 2.0, 301, 0.0, 1.0, 41, basis_state("RL"))
+    assert sweep_csv_bytes(grid, {}) == reference_sweep_csv(grid, {})
