@@ -192,9 +192,12 @@ def analytic_populations(p: SystemParams, t):
     beta_{+-} = sqrt(j^2 + 16*delta_{+-}^2), taken from `resonant_solution`.
 
     Raises:
+        InvalidInput: if any time is NaN or infinite.
         NotResonant: if either detuning is nonzero (from `resonant_solution`).
     """
     t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise InvalidInput("times must be finite")
     solution = resonant_solution(p)
     beta_p = solution.plus.beta
     beta_m = solution.minus.beta

@@ -18,6 +18,7 @@ closed form 2|c_LL*c_RR - c_LR*c_RL| serves as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot
 
 import numpy as np
 
@@ -139,8 +140,11 @@ def concurrence_pure(psi: StateVector | np.ndarray) -> float:
         amps = np.asarray(psi, dtype=complex).reshape(-1)
         if amps.shape != (4,):
             raise NotNormalized(f"expected 4 amplitudes, got {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _PURE_NORM_TOL:
+        # hypot overflows only where the norm itself does; NaN fails the test
+        norm = hypot(*np.ascontiguousarray(amps).view(float).tolist())
+        if not abs(norm - 1.0) <= _PURE_NORM_TOL:
+            if not np.isfinite(amps).all():
+                raise NotNormalized("amplitudes contain NaN or Inf")
             raise NotNormalized(f"state norm is {norm!r}, expected 1")
     value = 2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2])
     return min(max(float(value), 0.0), 1.0)

@@ -8,29 +8,25 @@ byte-stable output files.
 
 There are two kernels because the callers come in two shapes.
 `hermitian_eigensolve` takes one Hermitian matrix and iterates on plain
-Python numbers: floats with the batch kernel's arithmetic for one lane
-when the matrix has no imaginary part, complex numbers otherwise, in one
-rotation loop.  It serves every single solve (spectra, propagation,
-Wootters concurrence); `_hermitian_eigenvalues` runs the same loop
-without the eigenvector update for callers that read only the values,
-and `_hermitian_eigenpairs` returns values and vectors unsorted, without
-the phase rule or flags, for callers that only need a factor of m.
-`symmetric_eigensolve_batch` takes a stack of real symmetric matrices
-and runs the iteration on numpy arrays, one lane per matrix; it serves
-every map, eigen and dynamics, where one Python solve per grid cell or
-row used to dominate the run time.  For a single matrix the numpy call
-overhead makes the batch kernel several times slower, so it does not
-replace the scalar one.  The batch kernel repeats the scalar kernel's
-rotation arithmetic operation for operation, both accept the same
-matrices, and they share the Frobenius norm and the power-of-two scaling
-below, so for a real symmetric matrix the two return the same bits.  Its
-tail works in the lanes' own layout and differs from the scalar kernel
-only where that cannot change a bit: the stop test sums x * x instead of
-libm's pow(|x|, 2), which is within 1 ulp of it, so the norms differ by
-under about 1e-15 relative and only lanes within 1e-12 of their
-threshold are decided again with pow; and each lane's four values are
-sorted by a network of adjacent compare-exchanges on strict >, which is
-stable as the scalar kernel's sorted() is.
+Python numbers: floats when the matrix has no imaginary part, complex
+numbers otherwise, in one rotation loop.  It serves every single solve
+(spectra, propagation, Wootters concurrence); `_hermitian_eigenvalues`
+runs the same loop without the eigenvector update for callers that read
+only the values, and `_hermitian_eigenpairs` returns values and vectors
+unsorted, without the phase rule or flags, for callers that only need a
+factor of m.  `symmetric_eigensolve_batch` takes a stack of real
+symmetric matrices and runs the iteration on numpy arrays, one lane per
+matrix; it serves every map, eigen and dynamics.  For a single matrix the
+numpy call overhead makes the batch kernel several times slower, so it
+does not replace the scalar one.
+
+For a real symmetric matrix the two kernels return the same bits because
+they do the same IEEE operations: the same input check (`_max_abs` on
+Python floats, `_checked_max_abs` on arrays), the same norm
+(`_frobenius` over the 16 real entries), the same stop test (a sum of
+squares of the off-diagonal entries, in pair order) and the same
+rotation arithmetic.  The batch kernel's sort is a network of adjacent
+compare-exchanges on strict >, stable as the scalar kernel's sorted() is.
 
 Matrices whose largest entry lies outside [2**-461, 2**500] are scaled by
 an exact power of two before the iteration, so that squares and the
@@ -42,9 +38,9 @@ matrix the iteration runs on, so such scaling changes no flag or vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from cmath import isfinite
-from math import sqrt
+from dataclasses import dataclass
+from math import frexp, sqrt
 
 import numpy as np
 
@@ -67,9 +63,6 @@ _HERM_TOL = 1e-12
 _PHASE_FLOOR = 1e-9
 _DEGENERACY_TOL = 1e-9
 _MAX_SWEEPS = 60
-# lanes whose off-diagonal norm from x * x lies this close to the stop
-# threshold, relative to it, are decided again with libm pow (_jacobi_lanes)
-_STOP_BAND = 1e-12
 # the compare-exchanges (i, i + 1) of a bubble sort of four values
 _SORT_NETWORK = (0, 1, 2, 0, 1, 0)
 # The squares of the off-diagonal entries the iteration rotates (those above
@@ -147,21 +140,12 @@ def _scale_exponent(big: np.ndarray) -> np.ndarray:
 def _frobenius(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix in a (..., 4, 4) stack.
 
-    Computed as np.linalg.norm computes it for one complex matrix: one
-    BLAS dot over the real parts and one over the imaginary parts, both
-    read from the complex layout.  Real input is read at the complex
-    layout's stride, from a float buffer with a gap after each entry,
-    because a dot over contiguous reals sums in another order and can
-    differ in the last bit; its imaginary dot would add exactly +0.0, so
-    it is left out.  This way both kernels get the same norm, and so the
-    same thresholds, for the same matrix.
+    One dot over each matrix's entries in C order, a complex matrix read
+    as its 32 real and imaginary parts.  The dot's rounding depends on the
+    memory layout, so the entries are made contiguous first; a real matrix
+    then gets the same norm from both kernels.
     """
-    if np.iscomplexobj(m):
-        flat = m.reshape(m.shape[:-2] + (16,))
-        return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
-    spaced = np.empty(m.shape + (2,))
-    spaced[..., 0] = m
-    flat = spaced[..., 0].reshape(m.shape[:-2] + (16,))
+    flat = np.ascontiguousarray(m).reshape(m.shape[:-2] + (16,)).view(float)
     return np.sqrt(np.vecdot(flat, flat))
 
 
@@ -243,23 +227,23 @@ def _hermitian_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (_unscale(values, exp, big) if exp else values), np.array(v, dtype=complex)
 
 
-def _max_abs(m: np.ndarray, a: list[list]) -> float:
-    """`float(_checked_max_abs(m))`, from m's rows `a` where that is safe.
+def _max_abs(a: list[list]) -> float:
+    """Largest |a_ij| of one matrix given as rows of Python numbers.
 
-    Python's abs of a complex number is libm's hypot, which can differ in
-    the last bit from numpy's vectorized abs.  So a matrix within a
-    relative 1e-13 of the Hermiticity tolerance, or within 1% of the
-    scaling range, is left to `_checked_max_abs`.  Any other is one that
-    function accepts and does not scale, and gets the largest |a_ij|,
-    which may differ from that function's in the last bit.
+    Raises NonHermitianInput, with `_checked_max_abs`'s messages, unless
+    every entry is finite and a equals its conjugate transpose within
+    1e-12 * max(1, max |a_ij|).  On real rows these are the IEEE
+    operations of `_checked_max_abs`, so both accept the same real
+    matrices.
     """
     flat = [x for row in a for x in row]
+    if not all(map(isfinite, flat)):
+        raise NonHermitianInput("matrix contains NaN or Inf entries")
     big = max(map(abs, flat))
-    bound = _HERM_TOL * max(1.0, big) * (1.0 - 1e-13)
-    plain = all(map(isfinite, flat)) and _SCALE_MIN * 1.01 <= big <= _SCALE_MAX * 0.99
-    if plain and all(abs(a[i][j] - a[j][i].conjugate()) <= bound for i, j in _UPPER):
-        return big
-    return float(_checked_max_abs(m))
+    bound = _HERM_TOL * max(1.0, big)
+    if not all(abs(a[i][j] - a[j][i].conjugate()) <= bound for i, j in _UPPER):
+        raise NonHermitianInput("matrix is not Hermitian within tolerance")
+    return big
 
 
 def _jacobi(
@@ -277,14 +261,14 @@ def _jacobi(
     if m.shape != (4, 4):
         raise NonHermitianInput(f"expected a 4x4 matrix, got shape {m.shape}")
     kind = complex if m.imag.any() else float
-    a = (m if kind is complex else m.real).tolist()
-    big = _max_abs(m, a)
-    exp = 0 if _SCALE_MIN <= big <= _SCALE_MAX else int(_scale_exponent(big))
+    if kind is float:
+        m = m.real
+    a = m.tolist()
+    big = _max_abs(a)
+    exp = 0 if _SCALE_MIN <= big <= _SCALE_MAX else frexp(big)[1]
     if exp:
-        scaled = np.ldexp(m.real, -exp).astype(complex)
-        scaled.imag = np.ldexp(m.imag, -exp)
-        m = scaled
-        a = (m if kind is complex else m.real).tolist()
+        m = np.ldexp(np.ascontiguousarray(m).view(float), -exp).view(m.dtype)
+        a = m.tolist()
     norm = float(_frobenius(m))
     v = [[kind(i == j) for j in range(4)] for i in range(4)] if vectors else None
     zero = kind(0)
@@ -295,7 +279,8 @@ def _jacobi(
         for _ in range(_MAX_SWEEPS):
             off = 0.0
             for p, q, _ in _ROTATIONS:
-                off += abs(a[p][q]) ** 2
+                r = abs(a[p][q])
+                off += r * r
             if sqrt(2.0 * off) <= threshold:
                 break
             for p, q, others in _ROTATIONS:
@@ -349,13 +334,10 @@ def symmetric_eigensolve_batch(
     matrix, with its own norm, thresholds and convergence test, and leaves
     the iteration as soon as it has converged.  Order, phase and
     degeneracy rules are those of `hermitian_eigensolve`, whose results
-    for a real symmetric matrix are real and equal these bit for bit:
-    every lane stops at the scalar kernel's sweep (the x * x stop test
-    defers to libm pow within 1e-12 of the threshold, see `_jacobi_lanes`),
-    and the sort is a network of adjacent compare-exchanges on strict >,
-    stable as the scalar kernel's sort is.  Sort and phase rule run on the
-    iteration's lane-major arrays; only the returned arrays are laid out
-    (N, ...), C-contiguous.  The input stack is never written to.
+    for a real symmetric matrix are real and equal these bit for bit.
+    Sort and phase rule run on the iteration's lane-major arrays; only the
+    returned arrays are laid out (N, ...), C-contiguous.  The input stack
+    is never written to.
 
     Returns:
         values: (N, 4) eigenvalues, ascending per matrix.
@@ -423,16 +405,6 @@ def _jacobi_lanes(h: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Both results are lane-major, as the iteration holds them: values[k, n]
     is diagonal entry k of lane n, and vectors[:, k, n] its eigenvector.
     Converged lanes are copied out and dropped at the start of a sweep.
-
-    The scalar kernel's stop test sums abs(x) ** 2, i.e. libm pow, which
-    differs from x * x in the last bit for about 1 input in 1000.  Here
-    the sum is of x * x: pow(x, 2) is within 1 ulp and x * x correctly
-    rounded, so the two sums of six non-negative squares, and the norms
-    sqrt(2 * off) taken of them, differ by under about 1e-15 relative.
-    Only a lane whose norm lies within _STOP_BAND * threshold of its
-    threshold can be decided differently, and only such lanes are
-    decided again with the pow sum; every lane stops at the sweep the
-    scalar kernel stops at.
     """
     n = h.shape[0]
     values = np.empty((4, n))
@@ -448,15 +420,7 @@ def _jacobi_lanes(h: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarr
         off = a[0][1] * a[0][1]
         for p, q in _PAIRS[1:]:
             off = off + a[p][q] * a[p][q]
-        root = np.sqrt(2.0 * off)
-        done = root <= threshold
-        near = np.abs(root - threshold) <= _STOP_BAND * threshold
-        if near.any():
-            # the scalar kernel's sum of abs(x) ** 2, through libm pow
-            off = np.float_power(np.abs(a[0][1][near]), 2.0)
-            for p, q in _PAIRS[1:]:
-                off = off + np.float_power(np.abs(a[p][q][near]), 2.0)
-            done[near] = np.sqrt(2.0 * off) <= threshold[near]
+        done = np.sqrt(2.0 * off) <= threshold
         if done.any():
             out = lanes[done]
             for k in range(4):

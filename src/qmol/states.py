@@ -32,10 +32,6 @@ BELL_LABELS = ("PsiMinus", "PhiMinus", "PsiPlus", "PhiPlus")
 BELL_DISPLAY = ("Psi-", "Phi-", "Psi+", "Phi+")
 
 _NORM_TOL = 1e-12
-# Four amplitudes of modulus up to this have squares summing to at most
-# 2**1022, so numpy's dots cannot overflow, and warn, on them; larger ones
-# go to math.hypot, which overflows only where the norm itself does
-_SAFE_MODULUS = 2.0**510
 
 
 class Basis(enum.Enum):
@@ -76,13 +72,8 @@ class StateVector:
             amps = amps.reshape(-1)
             if amps.shape != (4,):
                 raise ValueError(f"expected 4 amplitudes, got {amps.shape}")
-        c0, c1, c2, c3 = amps.tolist()
-        if max(abs(c0), abs(c1), abs(c2), abs(c3)) <= _SAFE_MODULUS:
-            # np.linalg.norm's arithmetic; NaN amplitudes fail it too
-            re, im = amps.real, amps.imag
-            norm = sqrt(re.dot(re) + im.dot(im))
-        else:
-            norm = hypot(*amps.view(float).tolist())
+        # hypot overflows only where the norm itself does; NaN fails the test
+        norm = hypot(*amps.view(float).tolist())
         if not abs(norm - 1.0) <= _NORM_TOL:
             if not np.all(np.isfinite(amps.view(float))):
                 raise NotNormalized("amplitudes contain NaN or Inf")

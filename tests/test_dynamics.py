@@ -271,6 +271,18 @@ def test_analytic_populations_scalar_input():
     assert np.allclose(pops, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
 
 
+def test_analytic_populations_reject_non_finite_times():
+    # NaN used to give NaN populations, inf a RuntimeWarning from sin
+    p = SystemParams(delta1=5.0, delta2=5.0, j=25.0)
+    for t in (np.nan, np.inf, -np.inf, [0.0, 1.0, np.nan]):
+        with pytest.raises(InvalidInput, match="^times must be finite$"):
+            analytic_populations(p, t)
+    # negative times stay accepted: the expressions are even in t
+    backward = np.column_stack(analytic_populations(p, [-0.5, -2.0]))
+    forward = np.column_stack(analytic_populations(p, [0.5, 2.0]))
+    assert np.abs(backward - forward).max() <= 1e-15
+
+
 def test_analytic_populations_frozen_molecule():
     # delta2 = 0 freezes molecule 2 at its left site, so the states with
     # that charge moved (LR, RR) stay empty at all times

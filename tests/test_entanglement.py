@@ -356,6 +356,25 @@ def test_pure_rejects_unnormalized_array():
         concurrence_pure(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_pure_rejects_non_finite_arrays(bad):
+    # a NaN norm used to pass the tolerance test and return nan
+    for amps in ([bad, 0.0, 0.0, 0.0], [0.6, 0.0, 0.8j, bad]):
+        with pytest.raises(NotNormalized, match="^amplitudes contain NaN or Inf$"):
+            concurrence_pure(np.array(amps))
+
+
+def test_pure_norm_of_huge_amplitudes_is_found_without_overflow():
+    # squares of 1e200 overflow; the suite turns numpy's warning into an error
+    for amps, norm in (([1e200, 0.0, 0.0, 0.0], "1e+200"), ([1.5e308, 1.5e308j, 0, 0], "inf")):
+        with pytest.raises(NotNormalized) as exc:
+            concurrence_pure(np.array(amps))
+        assert str(exc.value) == f"state norm is {norm}, expected 1"
+    # a strided view is read as its own four amplitudes
+    amps = np.array([[0.6, 9.0], [0.0, 9.0], [0.0, 9.0], [0.8, 9.0]])[:, 0]
+    assert concurrence_pure(amps) == pytest.approx(0.96, abs=1e-15)
+
+
 def test_pure_accepts_bell_basis_state_vector():
     # conversion to the positional basis happens internally
     psi = basis_state("RL").to_bell()

@@ -6,7 +6,12 @@ import pytest
 
 from qmol import entanglement, linalg
 from qmol.entanglement import concurrence
-from qmol.errors import ConvergenceError, NonHermitianInput, NumericOverflow
+from qmol.errors import (
+    ConvergenceError,
+    InvalidDensityMatrix,
+    NonHermitianInput,
+    NumericOverflow,
+)
 from qmol.hamiltonian import _positional_matrices
 from qmol.linalg import (
     _DEGENERACY_TOL,
@@ -17,10 +22,10 @@ from qmol.linalg import (
     _SCALE_MAX,
     _SCALE_MIN,
     EigenDecomposition,
-    _checked_max_abs,
     _frobenius,
     _hermitian_eigenpairs,
     _hermitian_eigenvalues,
+    _max_abs,
     _scale_exponent,
     _unscale,
     expectation,
@@ -247,53 +252,92 @@ def _random_stacks():
     return stacks
 
 
-def test_frobenius_matches_numpy_norm_of_each_complex_matrix():
+def test_frobenius_is_one_dot_over_each_matrix(monkeypatch):
+    """Each norm is the square root of one dot over the matrix's entries in
+    C order, a complex matrix read as 32 floats, whatever the stack's
+    layout; the scalar kernel reads a real matrix, typed float or complex,
+    as 16 floats, and so gets the batch kernel's norm."""
     for m in _random_stacks():
         with np.errstate(over="ignore"):
             norms = _frobenius(m)
-            expected = [np.linalg.norm(a.astype(complex)) for a in m.reshape(-1, 4, 4)]
+            expected = []
+            for a in m.reshape(-1, 4, 4):
+                x = np.array(a, order="C").reshape(16).view(float)
+                expected.append(np.sqrt(np.dot(x, x)))
+            summed = np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
         assert norms.tobytes() == np.array(expected).reshape(m.shape[:-2]).tobytes()
+        finite = np.isfinite(norms)
+        assert np.all(np.abs(norms[finite] - summed[finite]) <= 1e-15 * summed[finite])
+
+    lane_norms = []
+    jacobi_lanes = linalg._jacobi_lanes
+
+    def record(h, norm):
+        lane_norms.append(norm)
+        return jacobi_lanes(h, norm)
+
+    monkeypatch.setattr(linalg, "_jacobi_lanes", record)
+    real = [m for m in _random_stacks() if m.ndim == 3 and len(m) and m.dtype == float]
+    complex_layout_differs = 0
+    for h in real:
+        lane_norms.clear()
+        symmetric_eigensolve_batch(h)
+        for m, lane_norm in zip(h, lane_norms[0]):
+            assert linalg._jacobi(m, vectors=False)[2] == lane_norm
+            complex_m = m.astype(complex)
+            assert linalg._jacobi(complex_m, vectors=False)[2] == lane_norm
+            with np.errstate(over="ignore"):
+                complex_layout_differs += float(_frobenius(complex_m)) != lane_norm
+    # read as 32 floats, a real matrix's norm can differ in the last bit
+    assert complex_layout_differs > 0
 
 
-def _pow_norm(h):
-    """The scalar kernel's stop-test norm of each matrix, sqrt(2 * sum abs(x) ** 2)."""
-    off = 0.0
-    for p, q in _PAIRS:
-        off = off + np.float_power(np.abs(h[:, p, q]), 2.0)
-    return np.sqrt(2.0 * off)
+def _square_sum(h):
+    """2 * sum of x * x over the off-diagonal pairs of each matrix, in pair order."""
+    off = h[:, 0, 1] * h[:, 0, 1]
+    for p, q in _PAIRS[1:]:
+        off = off + h[:, p, q] * h[:, p, q]
+    return 2.0 * off
 
 
-def test_lane_stop_test_decides_as_libm_pow_at_the_threshold(monkeypatch):
-    """The lanes sum x * x and decide again with pow near the threshold, so
-    a threshold exactly at the pow-based norm, or one ulp either side of
-    it, stops a lane exactly where the pow-based test stops it."""
+def test_lane_stop_test_decides_at_the_square_sum_norm(monkeypatch):
+    """A lane stops exactly where sqrt(2 * sum x * x) <= threshold, with the
+    threshold at that norm or one ulp either side of it, and the scalar
+    kernel's stop test takes the same sum, on the matrices where libm
+    pow(|x|, 2), which the scalar kernel once summed, moves the norm."""
     rng = np.random.default_rng(1301)
     h = random_symmetric(rng, 20000)
-    square = 0.0
+    norm = np.sqrt(_square_sum(h))
+    pow_off = 0.0
     for p, q in _PAIRS:
-        square = square + h[:, p, q] * h[:, p, q]
-    square_norm = np.sqrt(2.0 * square)
-    pow_norm = _pow_norm(h)
-    # libm pow(x, 2) is not correctly rounded, so some norms differ
-    differ = square_norm != pow_norm
+        pow_off = pow_off + np.float_power(np.abs(h[:, p, q]), 2.0)
+    differ = np.sqrt(2.0 * pow_off) != norm
     assert differ.any()
     h = np.concatenate([h[differ], h[~differ][:20]])
-    pow_norm = _pow_norm(h)
-    square_norm = np.concatenate([square_norm[differ], square_norm[~differ][:20]])
+    norm = np.sqrt(_square_sum(h))
     # with _OFF_TOL = 1 the threshold of a lane is the norm passed in
     monkeypatch.setattr(linalg, "_OFF_TOL", 1.0)
-    square_alone_wrong = 0
-    below, above = np.nextafter(pow_norm, 0.0), np.nextafter(pow_norm, np.inf)
-    for threshold in (below, pow_norm, above):
+    for threshold in (np.nextafter(norm, 0.0), norm, np.nextafter(norm, np.inf)):
         values, vectors = linalg._jacobi_lanes(h, threshold)
         # a lane that stops at the first test is returned as it came in
         stopped = (vectors == np.eye(4)[:, :, None]).all(axis=(0, 1))
-        assert np.array_equal(stopped, pow_norm <= threshold)
+        assert np.array_equal(stopped, norm <= threshold)
         diagonal = np.diagonal(h[stopped], axis1=1, axis2=2).T
         assert np.array_equal(values[:, stopped], diagonal)
-        square_alone_wrong += np.count_nonzero((square_norm <= threshold) != stopped)
-    # the band is what decided these lanes: x * x alone would not have
-    assert square_alone_wrong > 0
+
+    # the scalar kernel's first math.sqrt call is its first stop test
+    roots = []
+
+    def record(x):
+        roots.append(x)
+        return sqrt(x)
+
+    monkeypatch.setattr(linalg, "sqrt", record)
+    for m, off in zip(h, _square_sum(h)):
+        for typed in (m, m.astype(complex)):
+            roots.clear()
+            linalg._jacobi(typed, vectors=False)
+            assert roots[0] == off
 
 
 def test_sorting_network_keeps_ties_and_signed_zeros_in_order():
@@ -405,12 +449,13 @@ def test_eigenvalues_beyond_the_double_range_raise():
 
 
 def _reference_eigensolve(m: np.ndarray) -> EigenDecomposition:
-    """Reference scalar kernel: complex arithmetic for every input, numpy
-    input checks and argsort.  The single-matrix solves must give its bits."""
+    """Reference scalar kernel: complex arithmetic for every input, the
+    Python input check and argsort.  The single-matrix solves must give its
+    bits."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise NonHermitianInput(f"expected a 4x4 matrix, got shape {m.shape}")
-    big = float(_checked_max_abs(m))
+    big = _max_abs(m.tolist())
     exp = 0 if _SCALE_MIN <= big <= _SCALE_MAX else int(_scale_exponent(big))
     if exp:
         scaled = np.ldexp(m.real, -exp).astype(complex)
@@ -426,7 +471,8 @@ def _reference_eigensolve(m: np.ndarray) -> EigenDecomposition:
         for _ in range(_MAX_SWEEPS):
             off = 0.0
             for p, q in _PAIRS:
-                off += abs(a[p][q]) ** 2
+                r = abs(a[p][q])
+                off += r * r
             if sqrt(2.0 * off) <= threshold:
                 break
             for p, q in _PAIRS:
@@ -580,7 +626,8 @@ def _outcome(solve, m):
 def test_same_matrices_rejected():
     """Asymmetries within a few ulps of the Hermiticity tolerance, entries
     at the edges of the scaling range and non-finite entries are accepted
-    or rejected as before, with the same error."""
+    or rejected by every single-solve route as by the reference, with the
+    same error."""
     rng = np.random.default_rng(1004)
     cases = [np.eye(3), np.full((4, 4), 1.7e308)]
     for edge in (_SCALE_MIN, _SCALE_MAX):
@@ -603,19 +650,90 @@ def test_same_matrices_rejected():
             m[i, j] *= np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         cases.append(m)
     # numpy's vectorized abs and Python's (libm hypot) can round |m_ij| to
-    # opposite sides of the tolerance; numpy's side must win
+    # opposite sides of the tolerance; Python's side decides
+    hypot_decides = []
     for theta in rng.uniform(0.0, 2.0 * np.pi, 2000):
         m = np.diag([2.0, 1.0, 0.0, 0.0]).astype(complex)
         m[0, 3] = 2e-12 * np.exp(1j * theta)
         if (float(np.abs(m)[0, 3]) <= 2e-12) != (abs(complex(m[0, 3])) <= 2e-12):
             cases.append(m)
+            hypot_decides.append(m)
+    assert hypot_decides
     rejected = 0
     for m in cases:
         expected = _outcome(_reference_eigensolve, m)
         assert _outcome(hermitian_eigensolve, m) == expected
         assert _outcome(_hermitian_eigenvalues, m) == expected
+        assert _outcome(_hermitian_eigenpairs, m) == expected
         if expected is None:
             assert_same_bits(m)
+        rejected += expected is not None
+    assert 50 < rejected < len(cases) - 50
+    for m in hypot_decides:
+        assert (_outcome(hermitian_eigensolve, m) is None) == (abs(complex(m[0, 3])) <= 2e-12)
+
+
+def test_concurrence_rejects_what_the_single_solves_reject():
+    """Density matrices with an asymmetry where numpy's abs and Python's
+    round |rho_03| to opposite sides of the 1e-12 tolerance: `concurrence`
+    rejects exactly those the single solves reject."""
+    rng = np.random.default_rng(1005)
+    rhos = []
+    for theta in rng.uniform(0.0, 2.0 * np.pi, 4000):
+        rho = np.diag([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0]).astype(complex)
+        rho[0, 3] = 1e-12 * np.exp(1j * theta)
+        if (float(np.abs(rho)[0, 3]) <= 1e-12) != (abs(complex(rho[0, 3])) <= 1e-12):
+            rhos.append(rho)
+    assert rhos
+    rejected = 0
+    for rho in rhos:
+        expected = _outcome(_reference_eigensolve, rho)
+        for solve in (hermitian_eigensolve, _hermitian_eigenvalues, _hermitian_eigenpairs):
+            assert _outcome(solve, rho) == expected
+        if expected is None:
+            concurrence(rho)
+        else:
+            with pytest.raises(InvalidDensityMatrix, match="not Hermitian"):
+                concurrence(rho)
+        rejected += expected is not None
+    assert 0 < rejected < len(rhos)
+
+
+def test_both_kernels_reject_the_same_real_matrices():
+    """Non-finite entries, real asymmetries within 8 ulps of the
+    Hermiticity tolerance and entries one ulp around the edges of the
+    scaling range get the same outcome and message from the scalar and
+    the batch kernel."""
+    rng = np.random.default_rng(1006)
+    cases = []
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(4)
+        m[1, 2] = bad
+        cases.append(m.copy())
+        m[2, 1] = bad
+        cases.append(m)
+    for edge in (_SCALE_MIN, _SCALE_MAX):
+        for ulps in (-1, 0, 1):
+            cases.append(np.diag([edge * (1.0 + ulps * 2.0**-52), 1e-300, 0.0, 0.0]))
+            skewed = random_symmetric(rng, 1)[0] * (edge / 8.0)
+            skewed[0, 0] = edge * (1.0 + ulps * 2.0**-52)
+            skewed[1, 2] += 1e-12 * max(1.0, edge)
+            cases.append(skewed)
+    for ulps in range(-8, 9):
+        for _ in range(20):
+            m = random_symmetric(rng, 1)[0] * 10.0 ** rng.uniform(-3.0, 3.0)
+            i, j = rng.choice(4, 2, replace=False)
+            m[i, j] = m[j, i] = 0.0
+            tol = 1e-12 * max(1.0, float(np.abs(m).max()))
+            m[i, j] = tol * (1.0 + ulps * 2.0**-52) * rng.choice([-1.0, 1.0])
+            cases.append(m)
+    rejected = 0
+    for m in cases:
+        expected = _outcome(hermitian_eigensolve, m)
+        assert _outcome(symmetric_eigensolve_batch, m[None]) == expected
+        # the kernels read the two sides of an accepted asymmetry differently
+        if expected is None and np.array_equal(m, m.T):
+            assert_batch_matches_scalar(m[None])
         rejected += expected is not None
     assert 50 < rejected < len(cases) - 50
 

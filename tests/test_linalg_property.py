@@ -10,7 +10,7 @@ from hypothesis import strategies as st  # noqa: E402
 from test_linalg import assert_batch_matches_scalar, assert_same_bits  # noqa: E402
 
 from qmol.hamiltonian import _positional_matrices  # noqa: E402
-from qmol.linalg import hermitian_eigensolve  # noqa: E402
+from qmol.linalg import _frobenius, hermitian_eigensolve  # noqa: E402
 
 _entries = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
@@ -55,8 +55,8 @@ def _near_ties(draw):
 def test_near_degenerate_spectra(h):
     assert_batch_matches_scalar(h[None])
     dec = hermitian_eigensolve(h.astype(complex))
-    # the kernels' norm is np.linalg.norm's for the complex matrix
-    gap_tol = 1e-9 * np.linalg.norm(h.astype(complex))
+    # the kernels' norm: one dot over the 16 real entries
+    gap_tol = 1e-9 * _frobenius(h)
     assert dec.degenerate_pairs == tuple(
         bool(dec.values[k + 1] - dec.values[k] <= gap_tol) for k in range(3)
     )
