@@ -44,14 +44,14 @@ from .entanglement import concurrence_pure
 from .errors import ConfigError, InvalidInput, NoRealSolution, QmolError
 from .hamiltonian import SystemParams
 from .serialize import (
-    fmt6,
+    column_fields,
     pgm_bytes,
     sweep_csv_bytes,
     table_csv_bytes,
     trajectory_csv_bytes,
 )
 from .spectrum import eigensystem
-from .states import BELL_DISPLAY, basis_state
+from .states import BELL_DISPLAY, basis_state, canonical_label
 from .sweep import dynamics_detuning_map, dynamics_tunneling_map, eigen_concurrence_map
 from .verify import run_all
 
@@ -121,7 +121,7 @@ _CONVERTERS = {
     "e1": _float,
     "e2": _float,
     "ratio": _float,
-    "init": str,
+    "init": canonical_label,
     "tmax": _float,
     "steps": _int,
     "kind": _kind,
@@ -242,21 +242,16 @@ def config_from_metadata(meta: dict[str, str]) -> RunConfig:
 
 def render_spectrum(config: RunConfig) -> bytes:
     system = eigensystem(config.params)
-    rows = []
-    for i in range(4):
-        state = system.states[i]
-        weights = state.to_bell().probabilities
-        dominant = int(np.argmax(weights))
-        rows.append(
-            (
-                str(i),
-                fmt6(system.energies[i]),
-                fmt6(concurrence_pure(state)),
-                BELL_DISPLAY[dominant],
-                fmt6(weights[dominant]),
-                "yes" if system.degenerate_states[i] else "no",
-            )
-        )
+    weights = [state.to_bell().probabilities for state in system.states]
+    dominant = [int(np.argmax(w)) for w in weights]
+    rows = zip(
+        "0123",
+        column_fields(system.energies),
+        column_fields([concurrence_pure(s) for s in system.states], bounded=True),
+        [BELL_DISPLAY[k] for k in dominant],
+        column_fields([w[k] for w, k in zip(weights, dominant)], bounded=True),
+        ["yes" if flag else "no" for flag in system.degenerate_states],
+    )
     header = ("state", "energy_ueV", "concurrence", "dominant_bell", "weight", "degenerate")
     return table_csv_bytes(_metadata(config), header, rows)
 
@@ -317,13 +312,6 @@ def cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
-def _fmt_result(x: float) -> str:
-    """fmt6, or %.6e where fmt6 would print nonzero x as zero or over 17 digits."""
-    text = fmt6(x)
-    digits = text.lstrip("-0").replace(".", "").lstrip("0")
-    return f"{x:.6e}" if len(digits) > 17 or (x != 0.0 and not digits) else text
-
-
 def cmd_bell_times(config: RunConfig) -> int:
     condition = bell_condition(config.n, config.m, config.params.j)
     evolved = propagate(condition.params(), basis_state("RL"), condition.t_e)
@@ -331,11 +319,11 @@ def cmd_bell_times(config: RunConfig) -> int:
     lines = [
         f"n = {condition.n}",
         f"m = {condition.m}",
-        f"j_ueV = {_fmt_result(condition.j)}",
-        f"ratio = {_fmt_result(condition.ratio)}",
-        f"delta1_ueV = {_fmt_result(condition.delta1)}",
-        f"t_e_ns = {_fmt_result(condition.t_e)}",
-        f"concurrence_at_t_e = {_fmt_result(checked)}",
+        f"j_ueV = {column_fields([condition.j])[0]}",
+        f"ratio = {column_fields([condition.ratio])[0]}",
+        f"delta1_ueV = {column_fields([condition.delta1])[0]}",
+        f"t_e_ns = {column_fields([condition.t_e])[0]}",
+        f"concurrence_at_t_e = {column_fields([checked], bounded=True)[0]}",
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

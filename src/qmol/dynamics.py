@@ -192,7 +192,8 @@ def analytic_populations(p: SystemParams, t):
     beta_{+-} = sqrt(j^2 + 16*delta_{+-}^2), taken from `resonant_solution`.
 
     Raises:
-        InvalidInput: if any time is NaN or infinite.
+        InvalidInput: if any time is NaN or infinite, or the phase
+            max(beta_{+-})/4 * max|t| / hbar exceeds MAX_PHASE.
         NotResonant: if either detuning is nonzero (from `resonant_solution`).
     """
     t = np.asarray(t, dtype=float)
@@ -201,6 +202,14 @@ def analytic_populations(p: SystemParams, t):
     solution = resonant_solution(p)
     beta_p = solution.plus.beta
     beta_m = solution.minus.beta
+    # Python floats: a product beyond the double range is inf, not a warning
+    phase = max(beta_p, beta_m) / 4.0 * float(np.abs(t).max(initial=0.0)) / HBAR_UEV_NS
+    # written so that NaN fails it
+    if not phase <= MAX_PHASE:
+        raise InvalidInput(
+            f"max(beta)/4 * |t| / hbar = {phase:.3e} rad exceeds {MAX_PHASE:g} rad; "
+            f"shorten the time span"
+        )
     theta_p = (beta_p / 4.0) * t / HBAR_UEV_NS
     theta_m = (beta_m / 4.0) * t / HBAR_UEV_NS
     sp, cp = np.sin(theta_p), np.cos(theta_p)

@@ -175,6 +175,8 @@ def hermitian_eigensolve(m: np.ndarray) -> EigenDecomposition:
         NonHermitianInput: if m is not 4x4 Hermitian with finite entries.
         ConvergenceError: if the off-diagonal norm does not fall below
             1e-14 * |m|_F (not reachable for well-formed input).
+        NumericOverflow: if an entry's modulus or an eigenvalue does not
+            fit in a double.
     """
     diagonal, v, norm, exp, big = _jacobi(m, vectors=True)
     order = sorted(range(4), key=diagonal.__getitem__)
@@ -234,14 +236,23 @@ def _max_abs(a: list[list]) -> float:
     every entry is finite and a equals its conjugate transpose within
     1e-12 * max(1, max |a_ij|).  On real rows these are the IEEE
     operations of `_checked_max_abs`, so both accept the same real
-    matrices.
+    matrices.  A complex entry whose modulus exceeds the double range
+    raises NumericOverflow: such a matrix has an eigenvalue at least as
+    large.
     """
     flat = [x for row in a for x in row]
     if not all(map(isfinite, flat)):
         raise NonHermitianInput("matrix contains NaN or Inf entries")
-    big = max(map(abs, flat))
+    try:
+        big = max(map(abs, flat))
+    except OverflowError:  # a complex entry whose modulus is not a double
+        raise NumericOverflow("a matrix entry's modulus exceeds the double range") from None
     bound = _HERM_TOL * max(1.0, big)
-    if not all(abs(a[i][j] - a[j][i].conjugate()) <= bound for i, j in _UPPER):
+    try:
+        hermitian = all(abs(a[i][j] - a[j][i].conjugate()) <= bound for i, j in _UPPER)
+    except OverflowError:  # a difference far beyond the bound
+        hermitian = False
+    if not hermitian:
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
     return big
 

@@ -2,16 +2,17 @@
 
 CSV files carry a `# key = value` metadata header holding the resolved run
 configuration at full float precision, so any output file can be
-regenerated byte-identically from its own header.  Numeric table content
-uses fixed 6-decimal formatting.  Heatmaps are written as binary 8-bit
-portable graymaps (P5) with gray = round(255 * concurrence) and row 0 at
-the y-axis minimum.
+regenerated byte-identically from its own header.  Numbers print with six
+digits after the point, in one format per column (`column_format`).
+Heatmaps are written as binary 8-bit portable graymaps (P5) with
+gray = round(255 * concurrence) and row 0 at the y-axis minimum.
 
 Trajectory and sweep bodies are the bulk of every output file.  They are
 printed a block of rows at a time, at most `_BLOCK_VALUES` numbers, by a
 numpy kernel that gives exactly the bytes of `fmt6`: Python's `%.6f`,
 which is correctly rounded with ties to even, and `0.000000` in place of
-`-0.000000`.
+`-0.000000`.  A column in `%.6e`, or one that holds a NaN, an infinity or
+a magnitude of at least `_KERNEL_LIMIT`, is printed with `%` on its own.
 
 - Rounding.  y = x * 1e6 (1e6 is exact in binary) and k = rint(y).  For
   |y| < 2**52, k and 0.5 are both multiples of u = ulp(y), so y - k is one
@@ -22,22 +23,14 @@ which is correctly rounded with ties to even, and `0.000000` in place of
   products that rounded onto a half) k is read back from `'%.6f' % x`.
   The sign is printed where k < 0, that is where x < 0 and k != 0, which
   is `fmt6`'s normalization of negative zero.
-- Words.  Each field is two 8-byte words, ORed from tables indexed by the
-  three-digit groups of |k|: an integer word with `-` or a zero byte
-  first and the integer digits right-aligned, zero bytes in between, and
-  a fraction word `.ddd` `ddd` followed by `,` or a newline.  The words are
-  little-endian (`'<u8'`), so their bytes are the same on every host;
-  deleting the zero bytes from the block's words leaves its CSV text.
-- Narrow blocks.  A block whose rounded values all lie in
-  0 <= k < 10**7, so that every field is `d.dddddd` (trajectory and
-  tunneling-map bodies whose times and ratios lie in [0, 10)), is written
-  as packed 9-byte records: the integer digit as one byte, then the
-  fraction word.  Its bytes are the text as they stand, with no zero
-  bytes to delete.  Any other block takes the words.
-- Fallback.  A block that holds a NaN, an infinity or a magnitude of at
-  least `_KERNEL_LIMIT` is printed with one `%` operation for the block,
-  as before.  Only this route prints `nan`, `inf` or integer parts wider
-  than six digits.
+- Fields.  A row is one numpy record.  Each column (or block of [0, 1]
+  columns) has one layout per table: a sign byte if it has a negative
+  field, as many digit bytes as its largest integer part has, and an
+  8-byte little-endian fraction word `.ddd` `ddd` plus `,` or a newline,
+  ORed from tables indexed by the three-digit groups of |k|; a `%` column
+  is a zero-padded string.  Deleting the unused (zero) bytes leaves the
+  CSV text; `d.dddddd` tables (trajectories up to 10 ns, tunneling maps)
+  have none.
 
 Blocks keep the temporaries to a fixed size, whatever the size of the
 table.
@@ -55,6 +48,8 @@ from .sweep import SweepGrid
 
 __all__ = [
     "fmt6",
+    "column_format",
+    "column_fields",
     "metadata_lines",
     "parse_metadata",
     "table_csv_bytes",
@@ -67,42 +62,26 @@ __all__ = [
 #: at least one row).
 _BLOCK_VALUES = 8192
 
-#: Blocks whose largest |x| lies below this go through the numpy kernel: x * 1e6
-#: then rounds to at most 999 999 500 000, whose six integer digits fit the
-#: integer word after its sign byte.  NaN compares false.
+#: Columns whose largest |x| lies below this go through the numpy kernel: x * 1e6
+#: then rounds to at most 999 999 500 000, six integer digits.  NaN compares
+#: false.
 _KERNEL_LIMIT = 999999.5
 
 
 @functools.cache
-def _digit_tables() -> tuple[np.ndarray, ...]:
-    """Word values that spell each 3-digit group at its place in a field.
+def _fraction_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Word values that spell each 3-digit group at its place in a fraction word.
 
     Built on first use, so that a process that prints no CSV body does not
-    page in the numpy loops that build them.
-
-    Integer word: byte 0 the sign, bytes 2-4 the digits above the
-    thousands (none for 0), bytes 5-7 the last three, with leading zeros
-    dropped (entry g) or kept after higher digits (entry 1000 + g).
-    Fraction word: byte 0 `.`, bytes 1-3 and 4-6 the six decimals, byte 7
-    the separator.
+    page in the numpy loops that build them.  Byte 0 is `.`, bytes 1-3 and
+    4-6 the six decimals, byte 7 the separator.
     """
     n = np.arange(1000, dtype=np.uint64)
     digits = [48 + n // 100, 48 + n // 10 % 10, 48 + n % 10]  # ASCII
-    unpadded = [digits[0] * (n >= 100), digits[1] * (n >= 10), digits[2]]
-
-    def word(chars, first_byte):
-        return sum(c << np.uint64(8 * (first_byte + i)) for i, c in enumerate(chars))
-
-    int_high = word(unpadded[:2] + [digits[2] * (n >= 1)], 2)
-    int_low = np.concatenate([word(unpadded, 5), word(digits, 5)])
-    frac_high = word(digits, 1) | np.uint64(ord("."))
-    frac_low = word(digits, 4)
-    return int_high, int_low, frac_high, frac_low
+    high = sum(c << np.uint64(8 * (1 + i)) for i, c in enumerate(digits))
+    return high | np.uint64(ord(".")), high << np.uint64(24)
 
 
-_MINUS = np.uint64(ord("-"))
-#: A field of a narrow block: its one integer digit, then the fraction word.
-_RECORD = np.dtype([("digit", "u1"), ("frac", "<u8")])
 _COMMA, _NEWLINE = (np.uint64(ord(c) << 56) for c in ",\n")
 
 
@@ -139,65 +118,98 @@ def parse_metadata(text: str) -> dict[str, str]:
 
 
 def table_csv_bytes(meta: dict, header: Sequence[str], rows: Iterable[Sequence[str]]) -> bytes:
-    lines = metadata_lines(meta)
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return _csv_bytes(metadata_lines(meta) + [",".join(row) for row in (header, *rows)], [])
 
 
-def _fmt6_blocks(*columns: np.ndarray) -> list[bytes]:
-    """CSV lines of `fmt6` fields, one line per row of the columns side by side.
+def column_format(values, bounded: bool = False) -> str:
+    """`%.6f` or `%.6e`, the format of every field of one printed column.
 
-    Each column is a 1-D array or a 2-D block of columns, all with the same
-    number of rows.  The result is a list of blocks of consecutive rows,
-    each ending in a newline.
+    Columns of values in [0, 1] (populations, concurrence, weights) are
+    `bounded` and take `%.6f`.  A unit column takes `%.6e` where `%.6f` would
+    print its largest finite |x| as zero or with over 17 significant digits.
     """
-    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    if bounded:
+        return "%.6f"
+    a = np.abs(np.asarray(values, dtype=float))
+    big = a.max(initial=0.0, where=a < np.inf)
+    digits = fmt6(big).replace(".", "").lstrip("0")
+    return "%.6e" if big and not digits or len(digits) > 17 else "%.6f"
+
+
+def column_fields(values, bounded: bool = False) -> list[str]:
+    """The fields of one column as tables print them."""
+    body = b"".join(_fmt6_blocks((np.asarray(values, dtype=float), bounded)))
+    return body.decode("ascii").split("\n")[:-1]
+
+
+def _fmt6_blocks(*columns: tuple[np.ndarray, bool]) -> list[bytes]:
+    """CSV lines of the columns side by side, in blocks of consecutive rows.
+
+    Each column, a 1-D array or a 2-D block of columns with the same number
+    of rows, comes with whether its values lie in [0, 1] (`column_format`).
+    """
+    spans, width = [], 0  # [first column, stop, format, sign, integer width]
+    for values, bounded in columns:
+        lo, hi = float(values.min()), float(values.max())
+        # finite extremes settle the format without a pass over the column
+        fmt = column_format((lo, hi) if -np.inf < lo <= hi < np.inf else values, bounded)
+        kernel = fmt == "%.6f" and -_KERNEL_LIMIT < lo <= hi < _KERNEL_LIMIT  # else `%`
+        sign, digits = (int(fmt6(lo)[0] == "-"), len(fmt6(max(-lo, hi))) - 7) if kernel else (0, 0)
+        if not (digits and spans and spans[-1][2:] == [fmt, sign, digits]):
+            spans.append([width, None, fmt, sign, digits])  # else the last span grows
+        width = spans[-1][1] = width + (values.shape[1] if values.ndim == 2 else 1)
     seps = np.full(width, _COMMA)
     seps[-1] = _NEWLINE
     step = max(1, _BLOCK_VALUES // width)
     return [
-        _fmt6_block(np.column_stack([c[start:start + step] for c in columns]), seps)
-        for start in range(0, columns[0].shape[0], step)
+        _fmt6_block(np.column_stack([c[start:start + step] for c, _ in columns]), spans, seps)
+        for start in range(0, columns[0][0].shape[0], step)
     ]
 
 
-def _fmt6_block(block: np.ndarray, seps: np.ndarray) -> bytes:
-    """The lines of one 2-D block, fields ending in `seps` by column."""
-    if not np.abs(block).max() < _KERNEL_LIMIT:
-        # `%.6f` is what `fmt6` prints; since a `-` only starts a field and
-        # `%.6f` never prints an exponent, replacing "-0.000000" normalizes
-        # exactly the fields that `fmt6` normalizes.
-        row_format = ",".join(["%.6f"] * block.shape[1])
-        text = "\n".join([row_format] * block.shape[0]) % tuple(block.ravel().tolist())
-        return (text.replace("-0.000000", "0.000000") + "\n").encode("ascii")
+def _fmt6_block(block: np.ndarray, spans: list, seps: np.ndarray) -> bytes:
+    """The lines of one 2-D block, its columns laid out by `spans`."""
+    fields, texts = [], {}
+    for a, b, fmt, sign, width in spans:
+        if width:
+            layout = [("sign", "u1")] * sign + [("int", "u1", (width,)), ("frac", "<u8")]
+            fields.append((str(a), layout, (b - a,)))
+        else:
+            row_format = ",".join([fmt] * (b - a)) + ("\n" if b == len(seps) else ",")
+            text = "\0".join([row_format] * block.shape[0]) % tuple(block[:, a:b].ravel().tolist())
+            # a `-` only starts a field, so this unsigns exactly the negative zeros
+            texts[a] = np.array(text.replace("-0.000000", "0.000000").split("\0"), dtype="S")
+            fields.append((str(a), texts[a].dtype))
+            block[:, a:b] = 0.0  # the kernel does not print them
     scaled = block * 1e6
     micros = np.rint(scaled)
     # exact except where |y - k| == 0.5 (see the module docstring)
     for i in np.flatnonzero(np.abs(scaled - micros) == 0.5):
         micros.flat[i] = int(("%.6f" % block.flat[i]).replace(".", ""))
-    int_high_w, int_low_w, frac_high_w, frac_low_w = _digit_tables()
     k = micros.astype(np.int64)
-    narrow = k.min() >= 0 and k.max() < 10_000_000
-    if not narrow:
-        k = np.abs(k)
+    np.abs(k, out=k)
     milli = k // 1000
     whole = milli // 1000
-    frac = frac_high_w[milli - 1000 * whole] | frac_low_w[k - 1000 * milli] | seps
-    if narrow:
-        records = np.empty(block.shape, dtype=_RECORD)
-        records["digit"] = whole + ord("0")
-        records["frac"] = frac
-        return records.tobytes()
-    int_high = whole // 1000
-    words = np.empty(block.shape + (2,), dtype="<u8")
-    words[..., 0] = (
-        (micros < 0) * _MINUS
-        | int_high_w[int_high]
-        | int_low_w[whole - 1000 * int_high + 1000 * (int_high > 0)]
-    )
-    words[..., 1] = frac
-    return words.tobytes().translate(None, b"\0")
+    k -= 1000 * milli  # the last three decimals
+    milli -= 1000 * whole  # the first three
+    frac_high_w, frac_low_w = _fraction_tables()
+    # `take` skips the bounds checks of indexing; the groups lie in [0, 1000)
+    frac = frac_high_w.take(milli, mode="clip") | frac_low_w.take(k, mode="clip") | seps
+    records = np.empty(block.shape[0], dtype=fields)
+    for a, b, _, sign, width in spans:
+        if not width:
+            records[str(a)] = texts[a]
+            continue
+        field = records[str(a)]
+        if sign:
+            field["sign"] = (micros[:, a:b] < 0) * np.uint8(ord("-"))
+        for i in range(width):  # digits right-aligned, leading zeros as zero bytes
+            top = whole[:, a:b] // 10 ** (width - 1 - i) if i < width - 1 else whole[:, a:b]
+            digit = (top % 10 if i else top) + 48  # the first place is below 10
+            field["int"][..., i] = digit * (top > 0) if i < width - 1 else digit
+        field["frac"] = frac[:, a:b]
+    data = records.tobytes()
+    return data if all(span[3:] == [0, 1] for span in spans) else data.translate(None, b"\0")
 
 
 def _csv_bytes(lines: list[str], body: list[bytes]) -> bytes:
@@ -207,13 +219,13 @@ def _csv_bytes(lines: list[str], body: list[bytes]) -> bytes:
 def trajectory_csv_bytes(traj: Trajectory, meta: dict) -> bytes:
     lines = metadata_lines(meta)
     lines.append("t_ns,P_LL,P_LR,P_RL,P_RR,concurrence")
-    body = _fmt6_blocks(traj.times, traj.populations, traj.concurrence)
+    body = _fmt6_blocks((traj.times, False), (traj.populations, True), (traj.concurrence, True))
     return _csv_bytes(lines, body)
 
 
 def sweep_csv_bytes(grid: SweepGrid, meta: dict) -> bytes:
-    body = [b","] + _fmt6_blocks(grid.x_axis.values[np.newaxis, :])
-    body += _fmt6_blocks(grid.y_axis.values, grid.values)
+    body = [b","] + _fmt6_blocks((grid.x_axis.values[np.newaxis, :], False))  # one row
+    body += _fmt6_blocks((grid.y_axis.values, False), (grid.values, True))
     return _csv_bytes(metadata_lines(meta), body)
 
 

@@ -25,11 +25,13 @@ __all__ = [
     "BELL_DISPLAY",
     "StateVector",
     "basis_state",
+    "canonical_label",
 ]
 
 POSITIONAL_LABELS = ("LL", "LR", "RL", "RR")
 BELL_LABELS = ("PsiMinus", "PhiMinus", "PsiPlus", "PhiPlus")
-BELL_DISPLAY = ("Psi-", "Phi-", "Psi+", "Phi+")
+#: The same labels as tables print them; `basis_state` accepts both spellings.
+BELL_DISPLAY = tuple(b.replace("Minus", "-").replace("Plus", "+") for b in BELL_LABELS)
 
 _NORM_TOL = 1e-12
 
@@ -113,12 +115,14 @@ def basis_state(label: str) -> StateVector:
     """Build a basis state from a positional or Bell label.
 
     Positional labels (LL, LR, RL, RR) give positional-basis unit vectors;
-    Bell labels (PsiMinus, PhiMinus, PsiPlus, PhiPlus) give the
-    corresponding Bell state expressed in the positional basis.
+    Bell labels (PsiMinus, PhiMinus, PsiPlus, PhiPlus, or as tables print
+    them Psi-, Phi-, Psi+, Phi+) give the corresponding Bell state
+    expressed in the positional basis.
 
     Raises:
         InvalidInput: for any other label.
     """
+    label = canonical_label(label)
     amps = np.zeros(4, dtype=complex)
     if label in POSITIONAL_LABELS:
         amps[POSITIONAL_LABELS.index(label)] = 1.0
@@ -127,5 +131,10 @@ def basis_state(label: str) -> StateVector:
         return StateVector(BELL_MATRIX[BELL_LABELS.index(label)], Basis.POSITIONAL)
     raise InvalidInput(
         f"unknown state label {label!r}; choose from "
-        f"{', '.join(POSITIONAL_LABELS + BELL_LABELS)}"
+        f"{', '.join(POSITIONAL_LABELS + BELL_LABELS + BELL_DISPLAY)}"
     )
+
+
+def canonical_label(label: str) -> str:
+    """`label`, with a Bell state as tables print it (Psi+) spelled as its name (PsiPlus)."""
+    return BELL_LABELS[BELL_DISPLAY.index(label)] if label in BELL_DISPLAY else label

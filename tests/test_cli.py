@@ -17,7 +17,8 @@ from qmol.cli import (
 from qmol.errors import ConfigError
 from qmol.hamiltonian import SystemParams
 from qmol.serialize import parse_metadata
-from qmol.spectrum import resonant_solution
+from qmol.spectrum import eigensystem, resonant_solution
+from qmol.states import BELL_DISPLAY, BELL_LABELS
 
 
 def run(capsys, *argv):
@@ -136,6 +137,59 @@ def test_bell_times_at_extreme_couplings(j, capsys):
         "1e-300": ("1.000000e-300", "4.330127e-301", "4.135668e+300"),
     }
     assert (values["j_ueV"], values["delta1_ueV"], values["t_e_ns"]) == exponent_form[j]
+
+
+def _body_rows(out):
+    return [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+
+
+def test_spectrum_at_tiny_energies_prints_them_in_exponent_form(capsys):
+    # %.6f printed all four energies as 0.000000
+    code, out, err = run(capsys, "spectrum", "--j", "1e-200", "--d1", "1e-200", "--d2", "5e-201")
+    assert (code, err) == (0, "")
+    rows = _body_rows(out)
+    energies = eigensystem(SystemParams(j=1e-200, delta1=1e-200, delta2=5e-201)).energies
+    assert [r[1] for r in rows] == [f"{e:.6e}" for e in energies]
+    assert all(float(r[1]) != 0.0 for r in rows)
+    assert [",".join(r[2:]) for r in rows] == [
+        "0.316228,Psi+,0.658114,no",
+        "0.707107,Psi-,0.853553,no",
+        "0.707107,Phi-,0.853553,no",
+        "0.316228,Phi+,0.658114,no",
+    ]
+
+
+def test_dynamics_over_a_tiny_time_span_keeps_its_time_axis(capsys):
+    # %.6f printed t_ns as 0.000000 on every row
+    code, out, err = run(
+        capsys, "dynamics", "--j", "1e10", "--ratio", "0.25", "--tmax", "1e-8", "--steps", "3"
+    )
+    assert (code, err) == (0, "")
+    rows = _body_rows(out)
+    assert [r[0] for r in rows] == ["0.000000e+00", "5.000000e-09", "1.000000e-08"]
+    assert [",".join(r[1:]) for r in rows] == [
+        "0.000000,0.000000,1.000000,0.000000,0.000000",
+        "0.122075,0.404446,0.351404,0.122075,0.529275",
+        "0.011426,0.976078,0.001070,0.011426,0.071567",
+    ]
+
+
+def test_sweep_over_a_tiny_grid_keeps_its_axes(capsys):
+    code, out, err = run(capsys, "sweep", "eigen", "--j", "1e-7", "--grid=-1e-7:1e-7:3")
+    assert (code, err) == (0, "")
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert [float(x) for x in lines[0].split(",")[1:]] == [-1e-7, 0.0, 1e-7]
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [-1e-7, 0.0, 1e-7]
+    assert [line.split(",", 1)[1] for line in lines[1:]] == ["0.000000,0.000000,0.000000"] * 3
+
+
+@pytest.mark.parametrize("label", BELL_DISPLAY)
+def test_init_accepts_the_bell_labels_spectrum_prints(label, capsys):
+    name = BELL_LABELS[BELL_DISPLAY.index(label)]
+    printed = run(capsys, "dynamics", "--init", label, "--steps", "3")
+    assert printed[0] == 0
+    assert printed == run(capsys, "dynamics", "--init", name, "--steps", "3")
+    assert f"# init = {name}\n" in printed[1]
 
 
 def test_bell_times_no_solution_exit_code(capsys):
@@ -367,10 +421,12 @@ def test_spectrum_at_huge_energies(capsys):
     code, out, err = run(capsys, "spectrum", "--j", "1e300", "--d1", "1e300")
     assert code == 0, err
     rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
-    energies = np.array([float(r.split(",")[1]) for r in rows])
+    energies = eigensystem(SystemParams(j=1e300, delta1=1e300)).energies
     # the closed form itself overflows at j = 1e300, so scale it up from j = 1
     exact = np.sort(resonant_solution(SystemParams(j=1.0, delta1=1.0)).energies) * 1e300
     assert np.all(np.abs(energies - exact) <= 1e-12 * np.abs(exact))
+    # %.6f would print 300 integer digits: the column takes %.6e
+    assert [r.split(",")[1] for r in rows] == [f"{e:.6e}" for e in energies]
 
 
 def test_bad_state_and_sign(capsys):

@@ -29,7 +29,7 @@ from qmol.errors import (
 )
 from qmol.hamiltonian import SystemParams, build_positional
 from qmol.linalg import hermitian_eigensolve
-from qmol.spectrum import eigensystem
+from qmol.spectrum import eigensystem, resonant_solution
 from qmol.states import Basis, StateVector, basis_state
 from qmol.units import HBAR_UEV_NS
 
@@ -281,6 +281,21 @@ def test_analytic_populations_reject_non_finite_times():
     backward = np.column_stack(analytic_populations(p, [-0.5, -2.0]))
     forward = np.column_stack(analytic_populations(p, [0.5, 2.0]))
     assert np.abs(backward - forward).max() <= 1e-15
+
+
+def test_analytic_populations_phase_limit():
+    # propagate's rule: max(beta)/4 * max|t| / hbar <= MAX_PHASE; beyond it a
+    # 1e300 rad phase gave populations, and t = 1e308 a RuntimeWarning
+    p = SystemParams(delta1=5.0, delta2=5.0, j=25.0)
+    solution = resonant_solution(p)
+    beta = max(solution.plus.beta, solution.minus.beta)
+    edge = MAX_PHASE * HBAR_UEV_NS / (beta / 4.0) * (1.0 - 1e-12)
+    analytic_populations(p, [0.0, -edge])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e300, 1e308, -1.7e308, [0.0, 1e300], 1.001 * edge):
+            with pytest.raises(InvalidInput, match="exceeds 1e\\+08 rad"):
+                analytic_populations(p, t)
 
 
 def test_analytic_populations_frozen_molecule():

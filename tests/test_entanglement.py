@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmol.entanglement import concurrence, concurrence_pure, spin_flip
-from qmol.errors import InvalidDensityMatrix, NotNormalized
+from qmol.errors import InvalidDensityMatrix, NotNormalized, NumericOverflow
 from qmol.states import BELL_LABELS, Basis, StateVector, basis_state
 
 
@@ -325,6 +325,14 @@ def test_overflowing_trace_raises_the_trace_error_without_a_warning():
     message = "trace is (inf+0j), expected 1 within 1e-12"
     with pytest.raises(InvalidDensityMatrix, match=re.escape(message)):
         concurrence(np.full((4, 4), 1.7e308, dtype=complex))
+
+
+def test_complex_entry_whose_modulus_overflows_raises_numeric_overflow():
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    rho[0, 1] = 1.7e308 + 1.7e308j
+    rho[1, 0] = rho[0, 1].conjugate()
+    with pytest.raises(NumericOverflow, match="modulus exceeds the double range"):
+        concurrence(rho)
 
 
 def test_trace_error_reports_numpys_trace():

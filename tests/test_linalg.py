@@ -448,6 +448,20 @@ def test_eigenvalues_beyond_the_double_range_raise():
         symmetric_eigensolve_batch(h)
 
 
+def test_complex_entry_whose_modulus_overflows_raises_numeric_overflow():
+    # |1.7e308 + 1.7e308j| is not a double; such a matrix has an eigenvalue
+    # at least that large
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1] = 1.7e308 + 1.7e308j
+    m[1, 0] = m[0, 1].conjugate()
+    with pytest.raises(NumericOverflow, match="modulus exceeds the double range"):
+        hermitian_eigensolve(m)
+    # a difference whose modulus overflows fails the Hermiticity check
+    m[0, 1], m[1, 0] = 0.75e308 + 0.75e308j, -0.75e308 + 0.75e308j
+    with pytest.raises(NonHermitianInput):
+        hermitian_eigensolve(m)
+
+
 def _reference_eigensolve(m: np.ndarray) -> EigenDecomposition:
     """Reference scalar kernel: complex arithmetic for every input, the
     Python input check and argsort.  The single-matrix solves must give its

@@ -1,9 +1,9 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qmol import serialize
 from qmol.dynamics import trajectory
 from qmol.hamiltonian import SystemParams
 from qmol.serialize import (
@@ -117,23 +117,31 @@ def test_outputs_are_ascii_bytes():
     data.decode("ascii")
 
 
-# The per-value formatting the block formatter replaced, kept as its reference.
+# Per-column formatting, one value at a time, kept as the kernel's reference.
+def reference_column(values, bounded=False):
+    """`fmt6` of each value, or `%.6e` for a unit column whose largest finite
+    |x| `fmt6` prints as zero or with more than 17 significant digits."""
+    values = [float(v) for v in values]
+    big = max((abs(v) for v in values if math.isfinite(v)), default=0.0)
+    digits = fmt6(big).replace(".", "").lstrip("0")
+    if bounded or not (big and not digits or len(digits) > 17):
+        return [fmt6(v) for v in values]
+    return [f"{v:.6e}".replace("-0.000000e", "0.000000e") for v in values]
+
+
 def reference_trajectory_csv(traj, meta):
-    rows = (
-        [fmt6(traj.times[i])]
-        + [fmt6(v) for v in traj.populations[i]]
-        + [fmt6(traj.concurrence[i])]
-        for i in range(traj.times.shape[0])
-    )
+    columns = [reference_column(traj.times)]
+    columns += [reference_column(c, bounded=True) for c in np.asarray(traj.populations).T]
+    columns.append(reference_column(traj.concurrence, bounded=True))
     header = ("t_ns", "P_LL", "P_LR", "P_RL", "P_RR", "concurrence")
-    return table_csv_bytes(meta, header, rows)
+    return table_csv_bytes(meta, header, zip(*columns))
 
 
 def reference_sweep_csv(grid, meta):
     lines = metadata_lines(meta)
-    lines.append("," + ",".join(fmt6(x) for x in grid.x_axis.values))
-    for y, row in zip(grid.y_axis.values, grid.values):
-        lines.append(fmt6(y) + "," + ",".join(fmt6(v) for v in row))
+    lines.append("," + ",".join(reference_column(grid.x_axis.values)))
+    for y, row in zip(reference_column(grid.y_axis.values), grid.values):
+        lines.append(y + "," + ",".join(fmt6(v) for v in row))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -191,7 +199,7 @@ def test_csv_matches_reference_on_real_outputs():
     assert sweep_csv_bytes(grid, {}) == reference_sweep_csv(grid, {})
 
 
-# -- the word kernel against the per-value `fmt6` reference ---------------------
+# -- the kernel against the per-value `fmt6` reference -------------------------
 
 
 def _fmt6_reference(block):
@@ -202,7 +210,7 @@ def _fmt6_reference(block):
 def _assert_kernel_matches(values, width=6):
     block = np.asarray(values, dtype=float).reshape(-1, width)
     assert np.abs(block).max() < _KERNEL_LIMIT  # every value takes the kernel
-    assert b"".join(_fmt6_blocks(block)) == _fmt6_reference(block)
+    assert b"".join(_fmt6_blocks((block, True))) == _fmt6_reference(block)
 
 
 def _with_neighbours_and_signs(x):
@@ -237,18 +245,18 @@ def test_kernel_on_signed_zeros_and_the_domain_edge():
     _assert_kernel_matches(edges, width=4)
     above = np.nextafter(largest, np.inf)
     beyond = np.array([[above, -1.0], [-above, np.nan], [np.inf, -np.inf]])
-    assert b"".join(_fmt6_blocks(beyond)) == _fmt6_reference(beyond)
+    assert b"".join(_fmt6_blocks((beyond, True))) == _fmt6_reference(beyond)
 
 
 @pytest.mark.parametrize("width", [1, 2, 6, 7])
 def test_rows_that_straddle_a_block_boundary(width):
     rows = _BLOCK_VALUES // width + 1
     values = np.arange(rows * width, dtype=float).reshape(rows, width) / 7.0 - 100.0
-    assert len(_fmt6_blocks(values)) == 2
+    assert len(_fmt6_blocks((values, True))) == 2
     _assert_kernel_matches(values, width)
-    # a fallback block next to a kernel block
+    # a NaN sends this block of [0, 1] columns to `%`
     values[-1, 0] = np.nan
-    assert b"".join(_fmt6_blocks(values)) == _fmt6_reference(values)
+    assert b"".join(_fmt6_blocks((values, True))) == _fmt6_reference(values)
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 300), (300, 1)])
@@ -272,28 +280,14 @@ def test_trajectory_with_1_128_ns_steps_prints_its_ties():
 def test_field_bytes_are_pinned_on_every_host():
     # the '<u8' words fix the byte order, so these bytes do not depend on
     # the host's endianness
-    assert _fmt6_blocks(np.array([[-12.5, 3.0]])) == [b"-12.500000,3.000000\n"]
+    assert _fmt6_blocks((np.array([[-12.5, 3.0]]), True)) == [b"-12.500000,3.000000\n"]
     row = np.array([[1 / 128, -3 / 128, -5e-7, 123456.789, 999999.4999999999, 1.0]])
-    assert _fmt6_blocks(row) == [
+    assert _fmt6_blocks((row, True)) == [
         b"0.007812,-0.023438,0.000000,123456.789000,999999.500000,1.000000\n"
     ]
 
 
-# -- narrow blocks: one integer digit, no sign, packed 9-byte records ------------
-
-
-def _poison_integer_words(monkeypatch):
-    """Integer words that spell `X`s.  The record route never reads them, so
-    a block prints right with them only if it took that route."""
-    int_high, int_low, frac_high, frac_low = serialize._digit_tables()
-    poison = np.uint64(int.from_bytes(b"X" * 8, "little"))
-    tables = (np.full_like(int_high, poison), np.full_like(int_low, poison))
-    monkeypatch.setattr(serialize, "_digit_tables", lambda: tables + (frac_high, frac_low))
-
-
-@pytest.fixture
-def words_poisoned(monkeypatch):
-    _poison_integer_words(monkeypatch)
+# -- one-digit unsigned columns: packed 9-byte records, nothing to delete --------
 
 
 def _narrow_values():
@@ -307,36 +301,43 @@ def _narrow_values():
 
 
 @pytest.mark.parametrize("width", [1, 2, 6, 7])
-def test_narrow_blocks_take_the_record_route(width, words_poisoned):
+def test_narrow_blocks_take_the_record_route(width):
     values = _narrow_values()
     values = values[: len(values) // width * width].reshape(-1, width)
     assert all(len(fmt6(v)) == 8 and fmt6(v)[0] != "-" for v in values.flat)
-    assert b"".join(_fmt6_blocks(values)) == _fmt6_reference(values)
+    assert b"".join(_fmt6_blocks((values, True))) == _fmt6_reference(values)
 
 
 @pytest.mark.parametrize("width", [1, 6, 7])
-def test_narrow_rows_that_straddle_a_block_boundary(width, words_poisoned):
+def test_narrow_rows_that_straddle_a_block_boundary(width):
     rows = _BLOCK_VALUES // width + 1
     values = np.linspace(0.0, 9.99, rows * width).reshape(rows, width)
-    assert len(_fmt6_blocks(values)) == 2
-    assert b"".join(_fmt6_blocks(values)) == _fmt6_reference(values)
+    assert len(_fmt6_blocks((values, True))) == 2
+    assert b"".join(_fmt6_blocks((values, True))) == _fmt6_reference(values)
 
 
 @pytest.mark.parametrize("wide", [10.0, -1e-6, 9.999999500000001, -5.0000001e-7])
-def test_one_wide_value_sends_the_block_to_the_word_route(wide, monkeypatch):
+def test_one_wide_value_in_a_narrow_block(wide):
     values = _narrow_values()[:600].reshape(-1, 6)
     values[17, 3] = wide
     assert fmt6(wide) in ("10.000000", "-0.000001")
     assert fmt6(np.nextafter(9.999999500000001, 0.0)) == "9.999999"
-    assert b"".join(_fmt6_blocks(values)) == _fmt6_reference(values)
-    # with the integer words poisoned the block prints them: the word route
-    _poison_integer_words(monkeypatch)
-    assert b"X" in b"".join(_fmt6_blocks(values))
+    assert b"".join(_fmt6_blocks((values, True))) == _fmt6_reference(values)
 
 
-def test_trajectory_and_tunneling_map_bodies_are_narrow(words_poisoned):
+def test_trajectory_and_tunneling_map_bodies_are_narrow():
     p = SystemParams(delta1=3.0, delta2=1.0, j=25.0)
     traj = trajectory(p, basis_state("LR"), 9.9999994, 3001)
-    assert trajectory_csv_bytes(traj, {}) == reference_trajectory_csv(traj, {})
+    data = trajectory_csv_bytes(traj, {})
+    assert data == reference_trajectory_csv(traj, {})
+    assert _all_narrow(data.split(b"\n", 1)[1])
     grid = dynamics_tunneling_map(SystemParams(), 2.0, 301, 0.0, 1.0, 41, basis_state("RL"))
-    assert sweep_csv_bytes(grid, {}) == reference_sweep_csv(grid, {})
+    data = sweep_csv_bytes(grid, {})
+    assert data == reference_sweep_csv(grid, {})
+    assert _all_narrow(data[1:])  # the header row starts with an empty field
+
+
+def _all_narrow(body):
+    """Whether every field of a CSV body reads `d.dddddd`."""
+    fields = body.replace(b"\n", b",").split(b",")[:-1]
+    return all(len(f) == 8 and f[1:2] == b"." for f in fields)
