@@ -55,6 +55,18 @@ MAX_PHASE = 1e8
 _RK4_STEP_PHASE = 0.008
 
 
+def _check_phase(phase: float, formula: str) -> None:
+    """InvalidInput unless phase, the value of `formula` (rad), is at most MAX_PHASE.
+
+    Written so that NaN and inf fail it.
+    """
+    if not phase <= MAX_PHASE:
+        raise InvalidInput(
+            f"{formula} = {phase:.3e} rad exceeds {MAX_PHASE:g} rad, beyond which "
+            f"the phases do not hold six decimals; shorten the time span"
+        )
+
+
 def _evolve(energies, vectors, amps0, times) -> np.ndarray:
     """Amplitudes at each time, rows indexed by the time grid.
 
@@ -63,12 +75,7 @@ def _evolve(energies, vectors, amps0, times) -> np.ndarray:
     returns it, with vectors[:, k] belonging to energies[k].
     """
     phase = float(np.abs(energies).max()) * float(times.max()) / HBAR_UEV_NS
-    # written so that NaN and inf fail it
-    if not phase <= MAX_PHASE:
-        raise InvalidInput(
-            f"max|E| * t / hbar = {phase:.3e} rad exceeds {MAX_PHASE:g} rad, beyond "
-            f"which the phases do not hold six decimals; shorten the time span"
-        )
+    _check_phase(phase, "max|E| * t / hbar")
     coeffs = vectors.conj().T @ amps0
     phases = _phase_arguments(times, energies)
     np.exp(phases, out=phases)
@@ -146,12 +153,7 @@ def propagate_rk4(
     # the norm of H/4 fits a double even where |H|_F does not, so t = 0
     # still gives a zero phase there
     phase = hypot(*np.abs(h / 4.0).flat) * (4.0 * t / HBAR_UEV_NS)
-    # written so that NaN and inf fail it
-    if not phase <= MAX_PHASE:
-        raise InvalidInput(
-            f"|H|_F * t / hbar = {phase:.3e} rad exceeds {MAX_PHASE:g} rad; "
-            f"shorten the time span"
-        )
+    _check_phase(phase, "|H|_F * t / hbar")
     if not isfinite(t / step):
         raise InvalidInput(f"step = {step!r} is too small: t / step overflows")
     steps = max(1, ceil(t / step), ceil(phase / _RK4_STEP_PHASE))
@@ -204,12 +206,7 @@ def analytic_populations(p: SystemParams, t):
     beta_m = solution.minus.beta
     # Python floats: a product beyond the double range is inf, not a warning
     phase = max(beta_p, beta_m) / 4.0 * float(np.abs(t).max(initial=0.0)) / HBAR_UEV_NS
-    # written so that NaN fails it
-    if not phase <= MAX_PHASE:
-        raise InvalidInput(
-            f"max(beta)/4 * |t| / hbar = {phase:.3e} rad exceeds {MAX_PHASE:g} rad; "
-            f"shorten the time span"
-        )
+    _check_phase(phase, "max(beta)/4 * |t| / hbar")
     theta_p = (beta_p / 4.0) * t / HBAR_UEV_NS
     theta_m = (beta_m / 4.0) * t / HBAR_UEV_NS
     sp, cp = np.sin(theta_p), np.cos(theta_p)

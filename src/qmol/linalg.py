@@ -182,17 +182,19 @@ def hermitian_eigensolve(m: np.ndarray) -> EigenDecomposition:
     order = sorted(range(4), key=diagonal.__getitem__)
     ordered = [diagonal[k] for k in order]
     values = np.array(ordered)
-    # built from its columns, so that each column is contiguous: the phase
-    # products below and later products with the vectors round by layout
-    vectors = np.array([[row[k] for row in v] for k in order], dtype=complex).T
-
-    for k in range(4):
-        col = vectors[:, k]
+    columns = [[row[k] for row in v] for k in order]
+    for col in columns:
         for comp in col:
             h = abs(comp)
             if h > _PHASE_FLOOR:
-                col *= comp.conjugate() / h
+                # the batch kernel's factor, in Python arithmetic: the same
+                # bits whichever SIMD loops numpy would have dispatched
+                factor = comp.conjugate() * (1.0 / h)
+                col[:] = [x * factor for x in col]
                 break
+    # built from its columns, so that each column is contiguous: products
+    # with the vectors round by layout
+    vectors = np.array(columns, dtype=complex).T
 
     # <=, so that exact ties such as those of the zero matrix are flagged
     gap_tol = _DEGENERACY_TOL * norm
@@ -388,8 +390,7 @@ def symmetric_eigensolve_batch(
 
     # first component above the floor in each column (rows taken from the
     # last up, so that the first one wins), made positive; the factor is
-    # comp * (1 / |comp|), as numpy evaluates the scalar kernel's
-    # comp.conjugate() / h, not comp / |comp|
+    # comp * (1 / |comp|), as the scalar kernel's, not comp / |comp|
     above = np.abs(vectors) > _PHASE_FLOOR
     lead = np.where(above[3], vectors[3], 1.0)
     for i in (2, 1, 0):

@@ -463,9 +463,9 @@ def test_complex_entry_whose_modulus_overflows_raises_numeric_overflow():
 
 
 def _reference_eigensolve(m: np.ndarray) -> EigenDecomposition:
-    """Reference scalar kernel: complex arithmetic for every input, the
-    Python input check and argsort.  The single-matrix solves must give its
-    bits."""
+    """Reference scalar kernel: complex arithmetic for every input up to the
+    phase step, the Python input check and argsort.  The single-matrix
+    solves must give its bits."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise NonHermitianInput(f"expected a 4x4 matrix, got shape {m.shape}")
@@ -534,12 +534,19 @@ def _reference_eigensolve(m: np.ndarray) -> EigenDecomposition:
     values = values[order]
     vectors = vectors[:, order]
 
+    # the phase step on Python numbers of the kernel's kind: on the real
+    # parts when m has no imaginary part (the loop above leaves the
+    # kernel's real parts and zero imaginary parts then), as a complex
+    # product with the factor's signed zero imaginary part would flip the
+    # signs of some zeros
+    real = not m.imag.any()
     for k in range(4):
-        col = vectors[:, k]
+        col = (vectors[:, k].real if real else vectors[:, k]).tolist()
         for comp in col:
             h = abs(comp)
             if h > _PHASE_FLOOR:
-                vectors[:, k] = col * (comp.conjugate() / h)
+                factor = comp.conjugate() * (1.0 / h)
+                vectors[:, k] = [x * factor for x in col]
                 break
 
     # <=, so that exact ties such as those of the zero matrix are flagged
