@@ -11,11 +11,13 @@ Subcommands:
 Parameter precedence is command-line flags over config-file keys over
 defaults (j = 25 ueV, detunings and tunnelings 0).  Config files are
 line-oriented `key = value` text with `#` comments.  Every CSV starts
-with a `# key = value` header that fully reproduces the run; exit codes
-are 0 (ok), 2 (bad input), 3 (numeric failure), 4 (no solution).
+with the `# key = value` header `_metadata` writes, which reruns only
+if it holds all of its keys; exit codes are 0 (ok), 2 (bad input),
+3 (numeric failure), 4 (no solution), 141 (output pipe closed).
 Flags, config files and CSV headers are read by one function,
 `_run_config`, which only converts text; each range is checked by the
-library function that uses the value.
+library function that uses the value.  Each command renders its output
+as bytes (`_outputs`) and `main` writes them through `_emit`.
 
 Output files are rewritten in place: `_emit` opens an existing file
 without truncating it, writes the new bytes over the old ones and then
@@ -141,10 +143,6 @@ _PARAM_FIELDS = {"j": "j", "e1": "eps1", "e2": "eps2", "d1": "delta1", "d2": "de
 #: command line overrides the whole group from the config file.
 _TUNNELING_KEYS = ("ratio", "d1", "d2")
 
-#: Keys every CSV header has; the others default as in RunConfig.
-_HEADER_KEYS = ("command", "j", "e1", "e2", "d1", "d2")
-
-
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="ascii") as handle:
@@ -227,15 +225,18 @@ def _metadata(config: RunConfig) -> dict:
 
 
 def config_from_metadata(meta: dict[str, str]) -> RunConfig:
-    """Rebuild the RunConfig a CSV header was written from."""
-    missing = [key for key in _HEADER_KEYS if key not in meta]
-    if missing:
-        raise ConfigError(
-            f"incomplete or invalid metadata header: missing {', '.join(missing)}"
-        )
-    raw = {key: value for key, value in meta.items() if key in _CONVERTERS}
+    """Rebuild the RunConfig of a CSV header that holds every key `_metadata` writes."""
     try:
-        return _run_config(meta["command"], raw)
+        command = meta.get("command")
+        if command not in ("spectrum", "dynamics", "sweep"):
+            why = f"command {command!r} writes no CSV" if command else "missing command"
+            raise ConfigError(why)
+        raw = {key: value for key, value in meta.items() if key in _CONVERTERS}
+        config = _run_config(command, raw)
+        missing = [key for key in _metadata(config) if key not in meta]
+        if missing:
+            raise ConfigError(f"missing {', '.join(missing)}")
+        return config
     except InvalidInput as exc:
         raise ConfigError(f"incomplete or invalid metadata header: {exc}") from None
 
@@ -280,39 +281,7 @@ def render_sweep(config: RunConfig) -> tuple[bytes, bytes]:
     return sweep_csv_bytes(grid, _metadata(config)), pgm_bytes(grid.values)
 
 
-def _emit(data: bytes, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(data.decode("ascii"))
-    else:
-        # no O_TRUNC: see the module docstring
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
-            handle.write(data)
-            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                handle.truncate()
-
-
-def cmd_spectrum(config: RunConfig) -> int:
-    data = render_spectrum(config)
-    sys.stdout.write(data.decode("ascii"))
-    if config.out:
-        _emit(data, config.out)
-    return 0
-
-
-def cmd_dynamics(config: RunConfig) -> int:
-    _emit(render_dynamics(config), config.out)
-    return 0
-
-
-def cmd_sweep(config: RunConfig) -> int:
-    csv_data, pgm_data = render_sweep(config)
-    _emit(csv_data, config.out)
-    if config.pgm:
-        _emit(pgm_data, config.pgm)
-    return 0
-
-
-def cmd_bell_times(config: RunConfig) -> int:
+def render_bell_times(config: RunConfig) -> bytes:
     condition = bell_condition(config.n, config.m, config.params.j)
     evolved = propagate(condition.params(), basis_state("RL"), condition.t_e)
     checked = concurrence_pure(evolved)
@@ -325,21 +294,40 @@ def cmd_bell_times(config: RunConfig) -> int:
         f"t_e_ns = {column_fields([condition.t_e])[0]}",
         f"concurrence_at_t_e = {column_fields([checked], bounded=True)[0]}",
     ]
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def cmd_verify(config: RunConfig) -> int:
-    return 0 if run_all() else 3
+def _outputs(config: RunConfig) -> list[tuple[bytes, str | None]]:
+    """The files a command writes, in order, as (bytes, path); None is stdout."""
+    if config.command == "spectrum":
+        data = render_spectrum(config)
+        return [(data, None)] + ([(data, config.out)] if config.out else [])
+    if config.command == "dynamics":
+        return [(render_dynamics(config), config.out)]
+    if config.command == "sweep":
+        csv_data, pgm_data = render_sweep(config)
+        return [(csv_data, config.out)] + ([(pgm_data, config.pgm)] if config.pgm else [])
+    return [(render_bell_times(config), None)]
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "dynamics": cmd_dynamics,
-    "sweep": cmd_sweep,
-    "bell-times": cmd_bell_times,
-    "verify": cmd_verify,
-}
+def _emit(data: bytes, path: str | None) -> None:
+    if path is None:
+        binary = getattr(sys.stdout, "buffer", None)
+        if binary is None:  # a text-only stream such as io.StringIO
+            sys.stdout.write(data.decode("ascii"))
+            return
+        # past the text layer: under `python -u` it writes once to the raw
+        # file and drops what a short write leaves, such as at a closed pipe
+        sys.stdout.flush()
+        view = memoryview(data)
+        while view:
+            view = view[binary.write(view):]
+    else:
+        # no O_TRUNC: see the module docstring
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+            handle.write(data)
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -372,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="two-parameter concurrence map")
     sweep.add_argument(
-        "kind", nargs="?", default=None, choices=SWEEP_KINDS,
-        help="map kind (default eigen)",
+        "kind", nargs="?", default=None, metavar="KIND",
+        help=f"map kind: {', '.join(SWEEP_KINDS)} (default eigen)",
     )
     _add_param_flags(sweep)
     sweep.add_argument("--init", metavar="LABEL", help="initial state for dynamic kinds")
@@ -409,7 +397,18 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = build_config(args)
-        return _DISPATCH[config.command](config)
+        if config.command == "verify":
+            code = 0 if run_all(functools.partial(print, flush=True)) else 3
+        else:
+            for data, path in _outputs(config):
+                _emit(data, path)
+            code = 0
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # exit quietly as if killed by SIGPIPE; /dev/null takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InvalidInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

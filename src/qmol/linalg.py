@@ -112,19 +112,15 @@ def pair_flags_to_states(pairs):
 
 
 def _checked_max_abs(m: np.ndarray) -> np.ndarray:
-    """Largest |m_ij| of each matrix in a (..., 4, 4) stack.
+    """Largest |m_ij| of each matrix in a real (..., 4, 4) stack.
 
     Raises NonHermitianInput unless every entry is finite and each matrix
-    equals its conjugate transpose within 1e-12 * max(1, max |m_ij|).
+    is symmetric within 1e-12 * max(1, max |m_ij|).
     """
     if not np.isfinite(m).all():
         raise NonHermitianInput("matrix contains NaN or Inf entries")
     big = np.abs(m).max(axis=(-2, -1))
-    # a real matrix is its own conjugate: no conjugated copy to make
-    adjoint = np.swapaxes(m, -2, -1)
-    if np.iscomplexobj(m):
-        adjoint = adjoint.conj()
-    asym = np.abs(m - adjoint).max(axis=(-2, -1))
+    asym = np.abs(m - np.swapaxes(m, -2, -1)).max(axis=(-2, -1))
     if np.any(asym > _HERM_TOL * np.maximum(1.0, big)):
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
     return big

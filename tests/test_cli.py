@@ -1,5 +1,7 @@
 import os
 import stat
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 import qmol.cli
 from qmol.cli import (
     RunConfig,
+    build_config,
     build_parser,
     config_from_metadata,
     main,
@@ -548,6 +551,79 @@ def test_config_from_metadata_rejects_bad_headers():
         config_from_metadata(header | {"steps": "many"})
     # keys the reader does not know are not part of the run
     assert config_from_metadata(header | {"note": "x"}) == config_from_metadata(header)
+
+
+# small runs of every command and sweep kind that writes a CSV
+CSV_RUNS = [
+    ["spectrum", "--d1", "2"],
+    ["dynamics", "--ratio", "0.25", "--tmax", "0.2", "--steps", "3"],
+    ["sweep", "eigen", "--d1", "1", "--d2", "1", "--state", "2", "--grid=-2:2:3"],
+    ["sweep", "tunneling-dynamics", "--tmax", "0.2", "--steps", "3", "--grid=0:1:3"],
+    ["sweep", "detuning-dynamics", "--ratio", "0.4", "--sign", "-1", "--tmax", "0.2",
+     "--steps", "3", "--grid=-1:1:3"],
+]
+
+
+def test_config_from_metadata_requires_every_key_the_run_writes(tmp_path, capsys):
+    for argv in CSV_RUNS:
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        data = out.read_bytes()
+        meta = parse_metadata(data.decode("ascii"))
+        assert build_config(build_parser().parse_args(argv)) == config_from_metadata(meta)
+        for key in meta:
+            with pytest.raises(ConfigError, match="metadata header: missing ") as info:
+                config_from_metadata({k: v for k, v in meta.items() if k != key})
+            assert key in str(info.value).partition("missing ")[2].split(", "), (argv, key)
+
+
+@pytest.mark.parametrize("command", ["bell-times", "verify", "nonsense"])
+def test_config_from_metadata_rejects_commands_that_write_no_csv(command):
+    header = {"command": command, "j": "25.0", "e1": "0.0", "e2": "0.0",
+              "d1": "0.0", "d2": "0.0"}
+    with pytest.raises(ConfigError, match=f"metadata header: command '{command}' writes no CSV"):
+        config_from_metadata(header)
+
+
+def test_sweep_kind_is_checked_by_the_config_reader(capsys):
+    code, out, err = run(capsys, "sweep", "bogus")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: unknown sweep kind 'bogus'; "
+        "choose from eigen, tunneling-dynamics, detuning-dynamics\n"
+    )
+
+
+def _qmol_process(argv, unbuffered, stdout):
+    src = os.path.dirname(os.path.dirname(qmol.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # PYTHONUNBUFFERED="" is off; "1" makes stdout's binary layer the raw file
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+    return subprocess.Popen(
+        [sys.executable, "-m", "qmol", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_reader_closing_the_pipe_mid_write_exits_141_quietly(unbuffered):
+    # about 10.8 MB of CSV: the pipe fills, so the reader leaves mid-write
+    with _qmol_process(["dynamics", "--steps", "200001"], unbuffered, subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"# command = dynamics\n"
+        proc.stdout.close()
+        assert (proc.wait(timeout=120), proc.stderr.read()) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_reader_gone_before_the_flush_exits_141_quietly(unbuffered):
+    # a table far smaller than stdout's buffer: buffered, it reaches the
+    # pipe only when main flushes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with _qmol_process(["spectrum"], unbuffered, write_end) as proc:
+            assert (proc.wait(timeout=120), proc.stderr.read()) == (141, b"")
+    finally:
+        os.close(write_end)
 
 
 EIGEN_MAP = ["sweep", "eigen", "--d1", "1.5625", "--d2", "1.5625", "--state", "1"]
