@@ -564,7 +564,7 @@ CSV_RUNS = [
 ]
 
 
-def test_config_from_metadata_requires_every_key_the_run_writes(tmp_path, capsys):
+def test_config_from_metadata_requires_every_key_the_run_writes(tmp_path):
     for argv in CSV_RUNS:
         out = tmp_path / "run.csv"
         assert main(argv + ["--out", str(out)]) == 0
