@@ -340,8 +340,15 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="key = value config file")
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own print drops an OSError, so that help into a closed
+        # pipe would exit 0; main reports it as the other writes
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmol",
         description="Coupled charge-qubit spectra, dynamics, and entanglement maps.",
     )
@@ -394,8 +401,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        try:
+            args = _parser().parse_args(argv)
+        finally:
+            # --help prints and exits: its text reaches a closed pipe here,
+            # not in the exit flush
+            sys.stdout.flush()
         config = build_config(args)
         if config.command == "verify":
             code = 0 if run_all(functools.partial(print, flush=True)) else 3

@@ -10,15 +10,17 @@ There are two kernels because the callers come in two shapes.
 `hermitian_eigensolve` takes one Hermitian matrix and iterates on plain
 Python numbers: floats when the matrix has no imaginary part, complex
 numbers otherwise, in one rotation loop.  It serves every single solve
-(spectra, propagation, Wootters concurrence); `_hermitian_eigenvalues`
-runs the same loop without the eigenvector update for callers that read
-only the values, and `_hermitian_eigenpairs` returns values and vectors
-unsorted, without the phase rule or flags, for callers that only need a
-factor of m.  `symmetric_eigensolve_batch` takes a stack of real
-symmetric matrices and runs the iteration on numpy arrays, one lane per
-matrix; it serves every map, eigen and dynamics.  For a single matrix the
-numpy call overhead makes the batch kernel several times slower, so it
-does not replace the scalar one.
+(spectra, propagation); `_hermitian_eigenvalues` runs the same loop
+without the eigenvector update for callers that read only the values,
+Wootters concurrence among them.  `symmetric_eigensolve_batch` takes a
+stack of real symmetric matrices and runs the iteration on numpy arrays,
+one lane per matrix; it serves every map, eigen and dynamics.  For a
+single matrix the numpy call overhead makes the batch kernel several
+times slower, so it does not replace the scalar one.
+
+`_pivoted_cholesky` is no eigensolver: it factors a density matrix for
+Wootters concurrence, after the single solves' input check, in a few
+dozen complex operations where an eigenvector solve takes hundreds.
 
 For a real symmetric matrix the two kernels return the same bits because
 they do the same IEEE operations: the same input check (`_max_abs` on
@@ -215,16 +217,50 @@ def _hermitian_eigenvalues(m: np.ndarray, off_tol: float = _OFF_TOL) -> np.ndarr
     return _unscale(values, exp, big) if exp else values
 
 
-def _hermitian_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of m and a unitary of its eigenvectors, as the iteration leaves them.
+def _pivoted_cholesky(m: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+    """A factor L with L L^H = m - R, by outer-product Cholesky with diagonal pivoting.
 
-    Column k of the unitary belongs to values[k].  Neither is sorted, no
-    phase is fixed and no degeneracy is flagged: for callers that need only
-    some factor V diag(values) V^H of m.
+    m is a 4x4 array.  Each step takes the largest remaining real diagonal
+    as pivot, and the factorization stops once that is at most `floor`
+    (Higham 1990, the semidefinite case).  Returns L, 4x4 with its columns
+    past the rank zero, and the largest |R_ij| of the residue R left in
+    the unpivoted rows and columns: NaN or inf if the arithmetic
+    overflowed.  For a positive semidefinite m the residue is at rounding
+    level.  Only the lower triangle is read, the strict upper one taken as
+    its conjugate; m is checked as by the solves, with their errors and
+    messages.
     """
-    diagonal, v, _, exp, big = _jacobi(m, vectors=True)
-    values = np.array(diagonal)
-    return (_unscale(values, exp, big) if exp else values), np.array(v, dtype=complex)
+    a = m.tolist()
+    _max_abs(a)
+    columns = []
+    rest = [0, 1, 2, 3]
+    while rest:
+        d, p = max((a[k][k].real, k) for k in rest)
+        if not d > floor:
+            break
+        rest.remove(p)
+        s = sqrt(d)
+        col = [0j] * 4
+        col[p] = s
+        for i in rest:
+            col[i] = (a[i][p] if i > p else a[p][i].conjugate()) / s
+        for k, i in enumerate(rest):
+            ai = a[i]
+            ci = col[i]
+            for j in rest[: k + 1]:
+                ai[j] -= ci * col[j].conjugate()
+        columns.append(col)
+    residue = 0.0
+    try:
+        for k, i in enumerate(rest):
+            for j in rest[: k + 1]:
+                r = abs(a[i][j])
+                if r > residue or r != r:  # a NaN, once met, is kept
+                    residue = r
+    except OverflowError:  # a modulus beyond the double range
+        residue = float("inf")
+    columns += [[0j] * 4] * (4 - len(columns))
+    return np.array(columns).T, residue
 
 
 def _max_abs(a: list[list]) -> float:

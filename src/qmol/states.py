@@ -108,7 +108,21 @@ class StateVector:
 
     def density_matrix(self) -> np.ndarray:
         """Rank-one density matrix |self><self| in this state's basis."""
-        return np.outer(self.amplitudes, self.amplitudes.conj())
+        a = self.amplitudes
+        return _product(a[:, None], a.conj())
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The complex product a * b, broadcast, from real products and sums.
+
+    numpy's complex multiply loops fuse a multiply and an add where the
+    CPU can, so their bits depend on the loop numpy dispatches; separate
+    real operations round alike on every CPU.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def basis_state(label: str) -> StateVector:

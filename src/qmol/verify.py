@@ -20,7 +20,7 @@ from .entanglement import concurrence, concurrence_pure
 from .hamiltonian import SystemParams, build_bell, build_positional
 from .linalg import _hermitian_eigenvalues, expectation, hermitian_eigensolve
 from .spectrum import eigensystem, resonant_solution
-from .states import BELL_MATRIX, Basis, StateVector, basis_state
+from .states import BELL_MATRIX, Basis, StateVector, _product, basis_state
 from .sweep import eigen_concurrence_map
 
 __all__ = ["run_all", "CHECKS"]
@@ -98,7 +98,7 @@ def check_resonant_eigenvectors() -> Iterator:
 def _near_product_state(rng: np.random.Generator, distance: float) -> StateVector:
     """A random product state moved by `distance` along a random direction."""
     a, b, w = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (2, 2, 4))
-    amps = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+    amps = _product(a[:, None] / np.linalg.norm(a), b / np.linalg.norm(b)).reshape(4)
     amps = amps + distance * w / np.linalg.norm(w)
     return StateVector(amps / np.linalg.norm(amps), Basis.POSITIONAL)
 

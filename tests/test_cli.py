@@ -626,6 +626,26 @@ def test_reader_gone_before_the_flush_exits_141_quietly(unbuffered):
         os.close(write_end)
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["qmol", "sweep"])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_help_into_a_closed_pipe_exits_141_quietly(argv, unbuffered):
+    # argparse prints the help and exits while parsing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with _qmol_process(argv, unbuffered, write_end) as proc:
+            assert (proc.wait(timeout=120), proc.stderr.read()) == (141, b"")
+    finally:
+        os.close(write_end)
+
+
+def test_help_into_an_open_pipe_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qmol sweep")
+
+
 EIGEN_MAP = ["sweep", "eigen", "--d1", "1.5625", "--d2", "1.5625", "--state", "1"]
 
 
