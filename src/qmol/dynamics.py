@@ -9,8 +9,9 @@ where energies are converted to angular frequencies via hbar.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from math import ceil, cos, hypot, isfinite, pi, sqrt
+from math import ceil, cos, hypot, isfinite, pi, prod, sqrt
 
 import numpy as np
 
@@ -40,6 +41,16 @@ _CROSSING_TOL = 1e-9
 #: they end with exit code 2 instead of a memory error.  The arrays a
 #: Trajectory keeps take 112 bytes per time point, 1.9 GB at 2**24.
 MAX_OUTPUT_VALUES = 2**24
+
+
+def _check_output_size(what: str, *counts: int) -> None:
+    """InvalidInput if `what`, of counts[0] x counts[1] x ... values, exceeds MAX_OUTPUT_VALUES."""
+    if prod(counts) > MAX_OUTPUT_VALUES:
+        raise InvalidInput(
+            f"{what} of {' x '.join(map(str, counts))} values exceeds the limit "
+            f"of 2**24 = {MAX_OUTPUT_VALUES} values"
+        )
+
 
 #: Largest phase max|E| * t / hbar (rad) that spectral propagation accepts.
 #: Jacobi eigenvalues are off by up to about 2e-15 * max|E| (worst 1.9e-15
@@ -105,6 +116,22 @@ def _checked_time(t) -> float:
     if not (t >= 0.0 and isfinite(t)):
         raise InvalidInput(f"t must be nonnegative and finite, got {t!r}")
     return t
+
+
+def _checked_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """value as a Python int; InvalidInput unless it is an integer in [lo, hi].
+
+    Any type with `__index__` (numpy's integers among them) counts as an
+    integer; floats and bools do not.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or isinstance(value, bool) or n < lo or (hi is not None and n > hi):
+        bound = f"an integer >= {lo}" if hi is None else f"{lo}..{hi}"
+        raise InvalidInput(f"{name} must be {bound}, got {value!r}")
+    return n
 
 
 def propagate(p: SystemParams, psi0: StateVector, t: float) -> StateVector:
@@ -268,10 +295,8 @@ def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
         NoRealSolution: if m >= 2n, where the ratio formula turns imaginary.
         NumericOverflow: if beta_plus or t_e does not fit a double.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidInput(f"n must be a positive integer, got {n!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise InvalidInput(f"m must be a positive integer, got {m!r}")
+    n = _checked_int(n, "n", 1)
+    m = _checked_int(m, "m", 1)
     if m % 2 == 0:
         raise InvalidInput(f"m must be odd, got {m}")
     j = float(j)
@@ -363,12 +388,8 @@ def trajectory(
             t_max is not positive and finite, or max|E| * t_max / hbar
             exceeds MAX_PHASE.
     """
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-        raise InvalidInput(f"steps must be an integer >= 2, got {steps!r}")
-    if steps > MAX_OUTPUT_VALUES:
-        raise InvalidInput(
-            f"steps must be at most 2**24 = {MAX_OUTPUT_VALUES}, got {steps}"
-        )
+    steps = _checked_int(steps, "steps", 2)
+    _check_output_size("a trajectory", steps)
     if not (t_max > 0.0 and isfinite(t_max)):
         raise InvalidInput(f"tmax must be positive and finite, got {t_max!r}")
     dec = hermitian_eigensolve(build_positional(p))

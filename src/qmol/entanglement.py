@@ -23,7 +23,6 @@ independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .errors import (
     NumericOverflow,
 )
 from .linalg import _hermitian_eigenvalues, _pivoted_cholesky
-from .states import Basis, StateVector
+from .states import Basis, StateVector, _check_unit_norm
 
 __all__ = [
     "ConcurrenceResult",
@@ -53,10 +52,8 @@ _FLIP_SIGNS.setflags(write=False)
 
 _TRACE_TOL = 1e-12
 _EIG_FLOOR = -1e-12
-# The factor of a trace-1 rho stops at pivots of rounding size.  A residue
-# R of at most 1e-13 leaves rho = L L^H + R + E, with |E| near n u |rho|,
-# so no eigenvalue of rho lies below -4e-13 - |E| > _EIG_FLOOR.
-_PIVOT_FLOOR = 1e-15
+# A residue R of at most 1e-13 leaves rho = L L^H + R + E, with |E| near
+# n u |rho|, so no eigenvalue of rho lies below -4e-13 - |E| > _EIG_FLOOR.
 _CERTIFIED_RESIDUE = 1e-13
 _PURE_NORM_TOL = 1e-9
 # so that the l_i carry absolute errors near 1e-16 |tau|, as from an SVD
@@ -118,7 +115,7 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     if rho.shape != (4, 4):
         raise InvalidDensityMatrix(f"expected a 4x4 matrix, got shape {rho.shape}")
     try:
-        factor, residue = _pivoted_cholesky(rho, _PIVOT_FLOOR)
+        factor, residue = _pivoted_cholesky(rho)
     except NonHermitianInput:
         if not np.isfinite(rho).all():
             raise InvalidDensityMatrix("density matrix contains NaN or Inf") from None
@@ -138,7 +135,7 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
         if lowest < 0.0:
             # rho - R may lie farther from rho than the tolerance; rho
             # shifted by -lowest is positive and lies within it
-            factor, _ = _pivoted_cholesky(rho - lowest * np.eye(4), _PIVOT_FLOOR)
+            factor, _ = _pivoted_cholesky(rho - lowest * np.eye(4))
     tau = factor.T @ (_SIGNS * factor[::-1])
     r_vals = _hermitian_eigenvalues(tau.conj().T @ tau, off_tol=_GRAM_OFF_TOL)
     lambdas = np.sqrt(np.maximum(r_vals, 0.0))[::-1].copy()
@@ -162,12 +159,7 @@ def concurrence_pure(psi: StateVector | np.ndarray) -> float:
         amps = np.asarray(psi, dtype=complex).reshape(-1)
         if amps.shape != (4,):
             raise NotNormalized(f"expected 4 amplitudes, got {amps.shape}")
-        # hypot overflows only where the norm itself does; NaN fails the test
-        norm = hypot(*np.ascontiguousarray(amps).view(float).tolist())
-        if not abs(norm - 1.0) <= _PURE_NORM_TOL:
-            if not np.isfinite(amps).all():
-                raise NotNormalized("amplitudes contain NaN or Inf")
-            raise NotNormalized(f"state norm is {norm!r}, expected 1")
+        _check_unit_norm(amps, _PURE_NORM_TOL)
     value = 2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2])
     return min(max(float(value), 0.0), 1.0)
 

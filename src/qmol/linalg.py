@@ -65,6 +65,9 @@ _HERM_TOL = 1e-12
 _PHASE_FLOOR = 1e-9
 _DEGENERACY_TOL = 1e-9
 _MAX_SWEEPS = 60
+# `_pivoted_cholesky` stops at a pivot this small, of rounding size for a
+# trace-1 density matrix
+_PIVOT_FLOOR = 1e-15
 # the compare-exchanges (i, i + 1) of a bubble sort of four values
 _SORT_NETWORK = (0, 1, 2, 0, 1, 0)
 # The squares of the off-diagonal entries the iteration rotates (those above
@@ -217,11 +220,11 @@ def _hermitian_eigenvalues(m: np.ndarray, off_tol: float = _OFF_TOL) -> np.ndarr
     return _unscale(values, exp, big) if exp else values
 
 
-def _pivoted_cholesky(m: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+def _pivoted_cholesky(m: np.ndarray) -> tuple[np.ndarray, float]:
     """A factor L with L L^H = m - R, by outer-product Cholesky with diagonal pivoting.
 
     m is a 4x4 array.  Each step takes the largest remaining real diagonal
-    as pivot, and the factorization stops once that is at most `floor`
+    as pivot, and the factorization stops once that is at most _PIVOT_FLOOR
     (Higham 1990, the semidefinite case).  Returns L, 4x4 with its columns
     past the rank zero, and the largest |R_ij| of the residue R left in
     the unpivoted rows and columns: NaN or inf if the arithmetic
@@ -236,7 +239,7 @@ def _pivoted_cholesky(m: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
     rest = [0, 1, 2, 3]
     while rest:
         d, p = max((a[k][k].real, k) for k in rest)
-        if not d > floor:
+        if not d > _PIVOT_FLOOR:
             break
         rest.remove(p)
         s = sqrt(d)

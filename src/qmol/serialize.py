@@ -213,7 +213,7 @@ def _fmt6_block(block: np.ndarray, spans: list, seps: np.ndarray) -> bytes:
 
 
 def _csv_bytes(lines: list[str], body: list[bytes]) -> bytes:
-    return "".join(line + "\n" for line in lines).encode("ascii") + b"".join(body)
+    return b"".join(["".join(line + "\n" for line in lines).encode("ascii"), *body])
 
 
 def trajectory_csv_bytes(traj: Trajectory, meta: dict) -> bytes:

@@ -36,6 +36,16 @@ BELL_DISPLAY = tuple(b.replace("Minus", "-").replace("Plus", "+") for b in BELL_
 _NORM_TOL = 1e-12
 
 
+def _check_unit_norm(amps: np.ndarray, tol: float) -> None:
+    """NotNormalized unless the complex amplitudes amps have norm 1 within tol."""
+    # hypot overflows only where the norm itself does; NaN fails the test
+    norm = hypot(*np.ascontiguousarray(amps).view(float).tolist())
+    if not abs(norm - 1.0) <= tol:
+        if not np.isfinite(amps).all():
+            raise NotNormalized("amplitudes contain NaN or Inf")
+        raise NotNormalized(f"state norm is {norm!r}, expected 1")
+
+
 class Basis(enum.Enum):
     POSITIONAL = "positional"
     BELL = "bell"
@@ -74,12 +84,7 @@ class StateVector:
             amps = amps.reshape(-1)
             if amps.shape != (4,):
                 raise ValueError(f"expected 4 amplitudes, got {amps.shape}")
-        # hypot overflows only where the norm itself does; NaN fails the test
-        norm = hypot(*amps.view(float).tolist())
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            if not np.all(np.isfinite(amps.view(float))):
-                raise NotNormalized("amplitudes contain NaN or Inf")
-            raise NotNormalized(f"state norm is {norm!r}, expected 1")
+        _check_unit_norm(amps, _NORM_TOL)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         if not isinstance(self.basis, Basis):

@@ -16,7 +16,7 @@ from math import isfinite
 
 import numpy as np
 
-from .dynamics import MAX_OUTPUT_VALUES, _sampled
+from .dynamics import _check_output_size, _checked_int, _sampled
 from .entanglement import concurrence_from_amplitudes
 from .errors import InvalidInput, NotResonant, QmolError
 from .hamiltonian import SystemParams, _positional_matrices
@@ -52,10 +52,8 @@ class Axis:
     unit: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.count, int) or self.count < 2:
-            raise InvalidInput(
-                f"axis {self.name!r} count must be an integer >= 2, got {self.count!r}"
-            )
+        count = _checked_int(self.count, f"axis {self.name!r} count", 2)
+        object.__setattr__(self, "count", count)
         if not self.maximum > self.minimum:
             raise InvalidInput(
                 f"axis {self.name!r} needs maximum > minimum, "
@@ -71,15 +69,6 @@ class Axis:
     @property
     def values(self) -> np.ndarray:
         return np.linspace(self.minimum, self.maximum, self.count)
-
-
-def _check_size(x_axis: Axis, y_axis: Axis) -> None:
-    """InvalidInput if a map over the two axes exceeds MAX_OUTPUT_VALUES values."""
-    if x_axis.count * y_axis.count > MAX_OUTPUT_VALUES:
-        raise InvalidInput(
-            f"a map of {y_axis.count} x {x_axis.count} values exceeds the "
-            f"limit of 2**24 = {MAX_OUTPUT_VALUES} values"
-        )
 
 
 @dataclass(frozen=True)
@@ -130,26 +119,26 @@ def eigen_concurrence_map(
         InvalidInput: for a state index outside 0..3 or a map of more than
             MAX_OUTPUT_VALUES cells.
     """
-    if state_index not in (0, 1, 2, 3):
-        raise InvalidInput(f"state_index must be 0..3, got {state_index!r}")
+    state_index = _checked_int(state_index, "state_index", 0, 3)
     lo = -base.j if eps_min is None else float(eps_min)
     hi = base.j if eps_max is None else float(eps_max)
     x_axis = Axis("eps1", lo, hi, eps_steps, "ueV")
     y_axis = Axis("eps2", lo, hi, eps_steps, "ueV")
-    _check_size(x_axis, y_axis)
+    steps = x_axis.count
+    _check_output_size("a map", steps, steps)
     xs = x_axis.values
     ys = y_axis.values
-    cells = eps_steps * eps_steps
+    cells = steps * steps
     values = np.empty(cells)
     mask = np.empty(cells, dtype=bool)
     for start in range(0, cells, _BLOCK_CELLS):
         stop = min(start + _BLOCK_CELLS, cells)
-        iy, ix = np.divmod(np.arange(start, stop), eps_steps)
+        iy, ix = np.divmod(np.arange(start, stop), steps)
         h = _positional_matrices(xs[ix], ys[iy], base.delta1, base.delta2, base.j)
         _, vectors, pairs = symmetric_eigensolve_batch(h)
         values[start:stop] = concurrence_from_amplitudes(vectors[:, :, state_index])
         mask[start:stop] = pair_flags_to_states(pairs.T)[state_index]
-    shape = (eps_steps, eps_steps)
+    shape = (steps, steps)
     return SweepGrid(
         x_axis, y_axis, values.reshape(shape), degenerate_mask=mask.reshape(shape)
     )
@@ -230,7 +219,7 @@ def _dynamics_map(x_axis: Axis, y_axis: Axis, psi0: StateVector, couplings) -> S
     parameters, bit for bit.  A block that fails is solved again row by
     row, so the error raised is that of its first failing row.
     """
-    _check_size(x_axis, y_axis)
+    _check_output_size("a map", y_axis.count, x_axis.count)
     times, ys = x_axis.values, y_axis.values
     amps0 = psi0.to_positional().amplitudes
     values = np.empty((y_axis.count, x_axis.count))

@@ -1,0 +1,103 @@
+"""Route pairs at the edges of their input range; skipped without hypothesis.
+
+Each stratum holds one route to an independent one at the edge where it
+is most likely to fail: spectral against analytic propagation up to
+`MAX_PHASE`, Jacobi against the closed-form resonant spectrum over
+sixteen decades of tunneling, and the scalar against the batch kernel
+(and numpy's `eigvalsh`) at power-of-two scales either side of the range
+that is solved unscaled.  The bounds were fixed before the strata ran,
+and the draws are derandomized, so each run sees the same inputs.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from test_linalg import assert_batch_matches_scalar  # noqa: E402
+
+from qmol.dynamics import MAX_PHASE, analytic_populations, trajectory  # noqa: E402
+from qmol.hamiltonian import SystemParams, _positional_matrices  # noqa: E402
+from qmol.linalg import symmetric_eigensolve_batch  # noqa: E402
+from qmol.spectrum import eigensystem, resonant_solution  # noqa: E402
+from qmol.states import basis_state  # noqa: E402
+from qmol.units import HBAR_UEV_NS  # noqa: E402
+
+_EPS = np.finfo(float).eps
+# populations may differ by c * eps * (1 + phase): rounding of order eps in
+# each eigenvalue and each phase argument grows with the phase
+_PHASE_C = 16.0
+# eigenvalues may differ by this times max|E|
+_SPECTRUM_TOL = 32.0 * _EPS
+
+
+# -- analytic vs spectral populations up to MAX_PHASE ---------------------------
+
+
+@st.composite
+def _resonant_params(draw):
+    """Full-resonance couplings: j from 1e-2 to 1e4 ueV, each tunneling up to 2 j.
+
+    Some draws freeze molecule 1 (delta1 = 0) and some tunnel equally.
+    """
+    j = 10.0 ** draw(st.floats(-2.0, 4.0))
+    r1 = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    r2 = draw(st.one_of(st.just(r1), st.floats(0.0, 2.0)))
+    return SystemParams(delta1=r1 * j, delta2=r2 * j, j=j)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_resonant_params())
+def test_analytic_populations_up_to_the_phase_limit(p):
+    solution = resonant_solution(p)
+    omega = max(solution.plus.beta, solution.minus.beta) / 4.0 / HBAR_UEV_NS  # rad/ns
+    # one trajectory per decade of phase, the last ending just inside MAX_PHASE
+    for phase in [10.0**k for k in range(-3, 8)] + [MAX_PHASE * (1.0 - 1e-12)]:
+        traj = trajectory(p, basis_state("RL"), phase / omega, 4)
+        analytic = np.column_stack(analytic_populations(p, traj.times))
+        bound = _PHASE_C * _EPS * (1.0 + omega * traj.times)
+        # written so that NaN fails it
+        assert (np.abs(traj.populations - analytic) <= bound[:, None]).all()
+
+
+# -- closed-form vs Jacobi spectra, tunneling/j from 1e-8 to 1e8 -----------------
+
+
+@pytest.mark.parametrize("j", [1e-3, 25.0, 1e3])
+def test_closed_form_spectrum_over_sixteen_decades_of_tunneling(j):
+    for ratio in 10.0 ** np.linspace(-8.0, 8.0, 65):
+        # frozen, half, equal and opposite second tunnelings
+        for second in (0.0, 0.5, 1.0, -3.0):
+            p = SystemParams(delta1=ratio * j, delta2=second * ratio * j, j=j)
+            exact = np.sort(resonant_solution(p).energies)
+            gap = np.abs(eigensystem(p).energies - exact).max()
+            assert gap <= _SPECTRUM_TOL * np.abs(exact).max()
+
+
+# -- scalar vs batch solves around the scaling edges 2**-461 and 2**500 ----------
+
+# generic, resonant, exactly tied and nearly tied Hamiltonians:
+# (eps1, eps2, delta1, delta2, j)
+_COUPLINGS = np.array(
+    [
+        (3.0, -1.0, 1.5, 2.5, 25.0),
+        (0.0, 0.0, 1.5625, 1.5625, 25.0),
+        (0.0, 0.0, 0.0, 0.0, 25.0),
+        (12.5, -12.5 + 1e-8, 1e-9, 0.0, 25.0),
+    ]
+)
+
+
+@pytest.mark.parametrize("edge", [-461, 500])
+def test_scalar_and_batch_solves_either_side_of_the_scaling_edges(edge):
+    base = _positional_matrices(*_COUPLINGS.T)
+    # largest entry 1, so that each 2**k below puts it at exactly 2**k
+    base /= np.abs(base).max(axis=(1, 2), keepdims=True)
+    h = np.concatenate([base * 2.0**k for k in range(edge - 10, edge + 11)])
+    assert_batch_matches_scalar(h)
+    values, _, _ = symmetric_eigensolve_batch(h)
+    reference = np.linalg.eigvalsh(h)
+    bound = _SPECTRUM_TOL * np.abs(reference).max(axis=1, keepdims=True)
+    assert (np.abs(values - reference) <= bound).all()
