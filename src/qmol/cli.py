@@ -427,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoRealSolution as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (QmolError, ArithmeticError, ValueError) as exc:
+    except QmolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -9,7 +9,6 @@ where energies are converted to angular frequencies via hbar.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import ceil, cos, hypot, isfinite, pi, prod, sqrt
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from .entanglement import concurrence_from_amplitudes
 from .errors import ConvergenceError, InvalidInput, NoRealSolution, NumericOverflow
+from .errors import _checked_float, _checked_int
 from .hamiltonian import SystemParams, build_positional
 from .linalg import hermitian_eigensolve
 from .spectrum import resonant_solution
@@ -110,30 +110,6 @@ def _phase_arguments(times, energies) -> np.ndarray:
     return phases
 
 
-def _checked_time(t) -> float:
-    """t as a float; InvalidInput unless it is nonnegative and finite."""
-    t = float(t)
-    if not (t >= 0.0 and isfinite(t)):
-        raise InvalidInput(f"t must be nonnegative and finite, got {t!r}")
-    return t
-
-
-def _checked_int(value, name: str, lo: int, hi: int | None = None) -> int:
-    """value as a Python int; InvalidInput unless it is an integer in [lo, hi].
-
-    Any type with `__index__` (numpy's integers among them) counts as an
-    integer; floats and bools do not.
-    """
-    try:
-        n = operator.index(value)
-    except TypeError:
-        n = None
-    if n is None or isinstance(value, bool) or n < lo or (hi is not None and n > hi):
-        bound = f"an integer >= {lo}" if hi is None else f"{lo}..{hi}"
-        raise InvalidInput(f"{name} must be {bound}, got {value!r}")
-    return n
-
-
 def propagate(p: SystemParams, psi0: StateVector, t: float) -> StateVector:
     """Evolve psi0 for a time t (ns); exact for time-independent H.
 
@@ -144,7 +120,7 @@ def propagate(p: SystemParams, psi0: StateVector, t: float) -> StateVector:
         InvalidInput: if t is negative or not finite, or the phase
             max|E| * t / hbar exceeds MAX_PHASE.
     """
-    times = np.array([_checked_time(t)])
+    times = np.array([_checked_float(t, "t", "nonnegative")])
     dec = hermitian_eigensolve(build_positional(p))
     out = _evolve(dec.values, dec.vectors, psi0.to_positional().amplitudes, times)[0]
     return StateVector(out, Basis.POSITIONAL)
@@ -162,19 +138,17 @@ def propagate_rk4(
     squaring.  No eigensolver is called, which keeps this route
     independent of the Jacobi solver behind `propagate`.
 
-    `step` (ns) is the largest step taken.  The step is also at most
-    0.008 * hbar / |H|_F, so that each step turns phases by at most
+    `step` (ns), finite, is the largest step taken.  The step is also at
+    most 0.008 * hbar / |H|_F, so that each step turns phases by at most
     0.008 rad whatever the Hamiltonian's scale.
 
     Raises:
         InvalidInput: if t is negative or not finite, step is not
-            positive, t / step does not fit a double, or the phase
-            |H|_F * t / hbar exceeds MAX_PHASE.
+            positive and finite, t / step does not fit a double, or the
+            phase |H|_F * t / hbar exceeds MAX_PHASE.
     """
-    t = _checked_time(t)
-    step = float(step)
-    if not step > 0.0:
-        raise InvalidInput(f"step must be positive, got {step!r}")
+    t = _checked_float(t, "t", "nonnegative")
+    step = _checked_float(step, "step", "positive")
     h = build_positional(p)
     # |H|_F bounds |H|_2 and so every |E|.  hypot sums without overflow, and
     # the norm of H/4 fits a double even where |H|_F does not, so t = 0
@@ -215,7 +189,7 @@ def _power_minus_identity(b: np.ndarray, n: int) -> np.ndarray:
 def analytic_populations(p: SystemParams, t):
     """Positional populations at time t for evolution from |RL> at full resonance.
 
-    Accepts a scalar or array of times (ns) and returns the tuple
+    Accepts a scalar or array of integer or float times (ns) and returns the tuple
     (P_LL, P_LR, P_RL, P_RR) of matching shape.  The four expressions
     oscillate with the two angular frequencies beta_{+-}/(4*hbar) where
     beta_{+-} = sqrt(j^2 + 16*delta_{+-}^2), taken from `resonant_solution`.
@@ -225,9 +199,10 @@ def analytic_populations(p: SystemParams, t):
             max(beta_{+-})/4 * max|t| / hbar exceeds MAX_PHASE.
         NotResonant: if either detuning is nonzero (from `resonant_solution`).
     """
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
+    t = np.asarray(t)
+    if t.dtype.kind not in "iuf" or not np.isfinite(t).all():
         raise InvalidInput("times must be finite")
+    t = t.astype(float)
     solution = resonant_solution(p)
     beta_p = solution.plus.beta
     beta_m = solution.minus.beta
@@ -299,9 +274,7 @@ def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
     m = _checked_int(m, "m", 1)
     if m % 2 == 0:
         raise InvalidInput(f"m must be odd, got {m}")
-    j = float(j)
-    if not (j > 0.0 and isfinite(j)):
-        raise InvalidInput(f"j must be positive and finite, got {j!r}")
+    j = _checked_float(j, "j", "positive")
     if m >= 2 * n:
         raise NoRealSolution(
             f"no real tunneling ratio for n={n}, m={m}: requires m < 2n"
@@ -390,10 +363,9 @@ def trajectory(
     """
     steps = _checked_int(steps, "steps", 2)
     _check_output_size("a trajectory", steps)
-    if not (t_max > 0.0 and isfinite(t_max)):
-        raise InvalidInput(f"tmax must be positive and finite, got {t_max!r}")
+    t_max = _checked_float(t_max, "tmax", "positive")
     dec = hermitian_eigensolve(build_positional(p))
-    times = np.linspace(0.0, float(t_max), steps)
+    times = np.linspace(0.0, t_max, steps)
     return _sampled(dec.values, dec.vectors, psi0.to_positional().amplitudes, times)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import _checked_float
 
 __all__ = ["SystemParams", "build_positional", "build_bell"]
 
@@ -21,7 +21,7 @@ __all__ = ["SystemParams", "build_positional", "build_bell"]
 class SystemParams:
     """Physical couplings of the two-molecule system (all in ueV).
 
-    Attributes:
+    Attributes (finite real numbers, stored as floats; else InvalidInput):
         eps1, eps2: site detunings of molecule 1 and 2.
         delta1, delta2: tunneling amplitudes of molecule 1 and 2.
         j: Coulomb coupling strength; must be positive.
@@ -35,12 +35,9 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in ("eps1", "eps2", "delta1", "delta2", "j"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise InvalidInput(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if self.j <= 0.0:
-            raise InvalidInput(f"j must be positive, got {self.j!r}")
+            bound = "positive" if name == "j" else ""
+            value = _checked_float(getattr(self, name), name, bound)
+            object.__setattr__(self, name, value)
 
     @property
     def eps_sum(self) -> float:
@@ -61,7 +58,8 @@ class SystemParams:
     @classmethod
     def from_ratio(cls, ratio: float, j: float = 25.0, eps1: float = 0.0, eps2: float = 0.0) -> "SystemParams":
         """Equal tunnelings set as a fraction of the Coulomb coupling."""
-        return cls(eps1=eps1, eps2=eps2, delta1=ratio * j, delta2=ratio * j, j=j)
+        delta = _checked_float(ratio, "ratio") * _checked_float(j, "j", "positive")
+        return cls(eps1=eps1, eps2=eps2, delta1=delta, delta2=delta, j=j)
 
 
 def build_positional(p: SystemParams) -> np.ndarray:

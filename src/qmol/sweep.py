@@ -16,9 +16,9 @@ from math import isfinite
 
 import numpy as np
 
-from .dynamics import _check_output_size, _checked_int, _sampled
+from .dynamics import _check_output_size, _sampled
 from .entanglement import concurrence_from_amplitudes
-from .errors import InvalidInput, NotResonant, QmolError
+from .errors import InvalidInput, NotResonant, QmolError, _checked_float, _checked_int
 from .hamiltonian import SystemParams, _positional_matrices
 from .linalg import pair_flags_to_states, symmetric_eigensolve_batch
 
@@ -43,7 +43,7 @@ _BLOCK_CELLS = 4096
 
 @dataclass(frozen=True)
 class Axis:
-    """One scan axis: endpoints are inclusive, values evenly spaced."""
+    """One scan axis: finite endpoints (stored as floats), inclusive; values evenly spaced."""
 
     name: str
     minimum: float
@@ -52,18 +52,15 @@ class Axis:
     unit: str
 
     def __post_init__(self) -> None:
-        count = _checked_int(self.count, f"axis {self.name!r} count", 2)
-        object.__setattr__(self, "count", count)
-        if not self.maximum > self.minimum:
+        axis = f"axis {self.name!r}"
+        count = _checked_int(self.count, f"{axis} count", 2)
+        lo = _checked_float(self.minimum, f"{axis} minimum")
+        hi = _checked_float(self.maximum, f"{axis} maximum")
+        for field, value in (("count", count), ("minimum", lo), ("maximum", hi)):
+            object.__setattr__(self, field, value)
+        if not (hi > lo and isfinite(hi - lo)):
             raise InvalidInput(
-                f"axis {self.name!r} needs maximum > minimum, "
-                f"got [{self.minimum!r}, {self.maximum!r}]"
-            )
-        lo, hi = float(self.minimum), float(self.maximum)
-        if not (isfinite(lo) and isfinite(hi) and isfinite(hi - lo)):
-            raise InvalidInput(
-                f"axis {self.name!r} needs finite endpoints and a finite span "
-                f"maximum - minimum, got [{self.minimum!r}, {self.maximum!r}]"
+                f"{axis} needs a finite maximum - minimum > 0, got [{lo!r}, {hi!r}]"
             )
 
     @property
@@ -120,8 +117,8 @@ def eigen_concurrence_map(
             MAX_OUTPUT_VALUES cells.
     """
     state_index = _checked_int(state_index, "state_index", 0, 3)
-    lo = -base.j if eps_min is None else float(eps_min)
-    hi = base.j if eps_max is None else float(eps_max)
+    lo = -base.j if eps_min is None else eps_min
+    hi = base.j if eps_max is None else eps_max
     x_axis = Axis("eps1", lo, hi, eps_steps, "ueV")
     y_axis = Axis("eps2", lo, hi, eps_steps, "ueV")
     steps = x_axis.count
@@ -166,13 +163,13 @@ def dynamics_tunneling_map(
             f"tunneling-ratio map requires detunings e1 = e2 = 0 exactly, "
             f"got ({base.eps1!r}, {base.eps2!r})"
         )
-    x_axis = Axis("t", 0.0, float(t_max), t_steps, "ns")
-    y_axis = Axis("ratio", float(ratio_min), float(ratio_max), ratio_steps, "")
+    x_axis = Axis("t", 0.0, t_max, t_steps, "ns")
+    y_axis = Axis("ratio", ratio_min, ratio_max, ratio_steps, "")
 
     def couplings(ratios: np.ndarray) -> tuple:
         # |ratio * j| grows with |ratio|, so the row where it is largest is
         # the one SystemParams must check, with the message it gives
-        SystemParams.from_ratio(float(ratios[np.abs(ratios).argmax()]), base.j)
+        SystemParams.from_ratio(ratios[np.abs(ratios).argmax()], base.j)
         return base.eps1, base.eps2, ratios * base.j, ratios * base.j, base.j
 
     return _dynamics_map(x_axis, y_axis, psi0, couplings)
@@ -193,15 +190,15 @@ def dynamics_detuning_map(
     Requires equal tunnelings in `base`, which the map's mirror symmetries
     rely on; time runs along x and eps1 along y.
     """
-    if sign not in (1, -1):
+    if _checked_int(sign, "sign", -1, 1) == 0:
         raise InvalidInput(f"sign must be +1 or -1, got {sign!r}")
     if base.delta1 != base.delta2:
         raise InvalidInput(
             f"detuning map requires delta1 == delta2, got "
             f"({base.delta1!r}, {base.delta2!r})"
         )
-    x_axis = Axis("t", 0.0, float(t_max), t_steps, "ns")
-    y_axis = Axis("eps1", float(eps_min), float(eps_max), eps_steps, "ueV")
+    x_axis = Axis("t", 0.0, t_max, t_steps, "ns")
+    y_axis = Axis("eps1", eps_min, eps_max, eps_steps, "ueV")
     return _dynamics_map(
         x_axis, y_axis, psi0, lambda e1: (e1, sign * e1, base.delta1, base.delta2, base.j)
     )

@@ -32,10 +32,10 @@ def _random_hermitian(rng: np.random.Generator) -> np.ndarray:
 
 
 def _random_params(rng: np.random.Generator, resonant: bool = False) -> SystemParams:
-    j = float(rng.uniform(5.0, 50.0))
+    j = rng.uniform(5.0, 50.0)
     e1, e2 = (0.0, 0.0) if resonant else rng.uniform(-j, j, 2)
     d1, d2 = rng.uniform(-2.0 * j, 2.0 * j, 2)
-    return SystemParams(eps1=float(e1), eps2=float(e2), delta1=float(d1), delta2=float(d2), j=j)
+    return SystemParams(eps1=e1, eps2=e2, delta1=d1, delta2=d2, j=j)
 
 
 def _random_state(rng: np.random.Generator) -> StateVector:
@@ -155,7 +155,7 @@ def check_rk4_cross() -> Iterator:
     for _ in range(10):
         p = _random_params(rng)
         psi = _random_state(rng)
-        t = float(rng.uniform(0.1, 0.5))
+        t = rng.uniform(0.1, 0.5)
         yield propagate(p, psi, t).amplitudes - propagate_rk4(p, psi, t).amplitudes
 
 @_largest_gap

@@ -1,14 +1,25 @@
-"""Integer parameters: any integer type is taken as its value; the rest is InvalidInput.
+"""Scalar parameters: any integer or real type is its value; the rest is InvalidInput.
 
 Time steps, map counts, the Bell orders n and m and the eigenstate index
 all pass one integer rule, so numpy's integers give the bits Python ints
 give, and floats, bools and out-of-range values raise the typed error.
+Energies, times, ratios and axis endpoints pass one float rule, so
+strings, bools, complex numbers, None and values beyond the double range
+raise the typed error too.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
-from qmol.dynamics import bell_condition, trajectory
+from qmol.dynamics import (
+    analytic_populations,
+    bell_condition,
+    propagate,
+    propagate_rk4,
+    trajectory,
+)
 from qmol.errors import InvalidInput
 from qmol.hamiltonian import SystemParams
 from qmol.states import basis_state
@@ -79,3 +90,93 @@ def test_bell_orders_that_are_no_positive_integers_are_invalid_input(n, m):
 def test_outputs_beyond_2_to_the_24_values_are_invalid_input(call):
     with pytest.raises(InvalidInput, match=r"exceeds the limit of 2\*\*24 = 16777216 values$"):
         call()
+
+
+_PSI = basis_state("RL")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SystemParams(j="25"),
+        lambda: SystemParams(j=None),
+        lambda: SystemParams(j=10**400),
+        lambda: SystemParams(delta1=True),
+        lambda: SystemParams(eps1=1j),
+        lambda: SystemParams.from_ratio("0.1"),
+        lambda: SystemParams.from_ratio(0.1, j=True),
+        lambda: trajectory(_TUNNELED, _PSI, "1", 3),
+        lambda: Axis("x", 0.0, "1", 3, ""),
+        lambda: Axis("x", None, 1.0, 3, ""),
+        lambda: propagate_rk4(_TUNNELED, _PSI, 0.1, step="a"),
+        lambda: propagate_rk4(_TUNNELED, _PSI, 0.1, step=float("inf")),
+        lambda: propagate_rk4(_TUNNELED, _PSI, True),
+        lambda: eigen_concurrence_map(_TUNNELED, 1, "a", 1.0, 3),
+        lambda: eigen_concurrence_map(_TUNNELED, 1, 10**400, 1.0, 3),
+        lambda: propagate(_TUNNELED, _PSI, "1"),
+        lambda: propagate(_TUNNELED, _PSI, True),
+        lambda: propagate(_TUNNELED, _PSI, 10**400),
+        lambda: analytic_populations(_TUNNELED, "1"),
+        lambda: analytic_populations(_TUNNELED, True),
+        lambda: analytic_populations(_TUNNELED, 1j),
+        lambda: analytic_populations(_TUNNELED, [0.0, None]),
+        lambda: analytic_populations(_TUNNELED, 10**400),
+        lambda: bell_condition(1, 1, "25"),
+        lambda: bell_condition(1, 1, True),
+        lambda: dynamics_tunneling_map(SystemParams(), "1", 3, 0.0, 1.0, 3, _PSI),
+        lambda: dynamics_tunneling_map(SystemParams(), 1.0, 3, 0.0, True, 3, _PSI),
+        lambda: dynamics_detuning_map(_TUNNELED, 1.0, 3, -1.0, "1", 3, _PSI, 1),
+    ],
+)
+def test_scalars_that_are_no_finite_real_numbers_are_invalid_input(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SystemParams(j="25"), "j must be positive and finite, got '25'"),
+        (lambda: SystemParams(delta1=True), "delta1 must be finite, got True"),
+        (lambda: Axis("x", 0.0, "1", 3, ""), "axis 'x' maximum must be finite, got '1'"),
+        (lambda: propagate(_TUNNELED, _PSI, None), "t must be nonnegative and finite, got None"),
+        (lambda: analytic_populations(_TUNNELED, "1"), "times must be finite"),
+    ],
+)
+def test_the_float_rule_names_the_parameter_and_the_value(call, message):
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("sign", [True, 1.0, np.float64(-1.0), 0, 2])
+def test_detuning_map_sign_that_is_no_integer_plus_or_minus_1_is_invalid_input(sign):
+    with pytest.raises(InvalidInput, match=r"^sign must be "):
+        dynamics_detuning_map(_TUNNELED, 1.0, 3, -1.0, 1.0, 3, _PSI, sign)
+
+
+def _float_runs(x):
+    """Each entry point taking floats, called with the real type x."""
+    p = SystemParams(x(0.5), x(-0.25), x(1.5), x(1.5), x(25.0))
+    traj = trajectory(p, _PSI, x(0.5), 5)
+    return [
+        traj.amplitudes,
+        propagate(p, _PSI, x(0.25)).amplitudes,
+        propagate_rk4(p, _PSI, x(0.25), step=x(0.125)).amplitudes,
+        np.array(analytic_populations(_TUNNELED, x(0.75))),
+        eigen_concurrence_map(p, 1, x(-2.0), x(2.0), 4).values,
+        dynamics_tunneling_map(
+            SystemParams(j=x(25.0)), x(0.5), 4, x(0.0), x(1.0), 3, _PSI
+        ).values,
+        dynamics_detuning_map(p, x(0.5), 4, x(-5.0), x(5.0), 3, _PSI, -1).values,
+        np.array([bell_condition(2, 1, x(25.0)).t_e]),
+    ]
+
+
+# every value passed is exact in float32, so real(x) equals x
+@pytest.mark.parametrize("real", [np.float64, np.float32])
+def test_numpy_real_scalars_give_the_bits_of_python_floats(real):
+    for got, expected in zip(_float_runs(real), _float_runs(float), strict=True):
+        assert got.tobytes() == expected.tobytes()
