@@ -16,7 +16,7 @@ import numpy as np
 
 from .entanglement import concurrence_from_amplitudes
 from .errors import ConvergenceError, InvalidInput, NoRealSolution, NumericOverflow
-from .errors import _checked_float, _checked_int
+from .errors import _checked_array, _checked_float, _checked_int
 from .hamiltonian import SystemParams, build_positional
 from .linalg import hermitian_eigensolve
 from .spectrum import resonant_solution
@@ -78,6 +78,13 @@ def _check_phase(phase: float, formula: str) -> None:
         )
 
 
+def _positional(psi0) -> np.ndarray:
+    """The positional amplitudes of psi0; InvalidInput unless it is a StateVector."""
+    if not isinstance(psi0, StateVector):
+        raise InvalidInput(f"psi0 must be a StateVector, got {type(psi0).__name__}")
+    return psi0.to_positional().amplitudes
+
+
 def _evolve(energies, vectors, amps0, times) -> np.ndarray:
     """Amplitudes at each time, rows indexed by the time grid.
 
@@ -117,12 +124,12 @@ def propagate(p: SystemParams, psi0: StateVector, t: float) -> StateVector:
     returned state is positional.
 
     Raises:
-        InvalidInput: if t is negative or not finite, or the phase
-            max|E| * t / hbar exceeds MAX_PHASE.
+        InvalidInput: if psi0 is no StateVector, t is negative or not
+            finite, or the phase max|E| * t / hbar exceeds MAX_PHASE.
     """
     times = np.array([_checked_float(t, "t", "nonnegative")])
     dec = hermitian_eigensolve(build_positional(p))
-    out = _evolve(dec.values, dec.vectors, psi0.to_positional().amplitudes, times)[0]
+    out = _evolve(dec.values, dec.vectors, _positional(psi0), times)[0]
     return StateVector(out, Basis.POSITIONAL)
 
 
@@ -143,9 +150,9 @@ def propagate_rk4(
     0.008 rad whatever the Hamiltonian's scale.
 
     Raises:
-        InvalidInput: if t is negative or not finite, step is not
-            positive and finite, t / step does not fit a double, or the
-            phase |H|_F * t / hbar exceeds MAX_PHASE.
+        InvalidInput: if psi0 is no StateVector, t is negative or not
+            finite, step is not positive and finite, t / step does not
+            fit a double, or the phase |H|_F * t / hbar exceeds MAX_PHASE.
     """
     t = _checked_float(t, "t", "nonnegative")
     step = _checked_float(step, "step", "positive")
@@ -162,7 +169,7 @@ def propagate_rk4(
     eye = np.eye(4)
     # P - I = A + A^2/2 + A^3/6 + A^4/24, by Horner's rule
     step_minus_eye = a @ (eye + a / 2.0 @ (eye + a / 3.0 @ (eye + a / 4.0)))
-    amps = psi0.to_positional().amplitudes
+    amps = _positional(psi0)
     psi = amps + _power_minus_identity(step_minus_eye, steps) @ amps
     psi = psi / np.linalg.norm(psi)
     return StateVector(psi, Basis.POSITIONAL)
@@ -195,14 +202,15 @@ def analytic_populations(p: SystemParams, t):
     beta_{+-} = sqrt(j^2 + 16*delta_{+-}^2), taken from `resonant_solution`.
 
     Raises:
-        InvalidInput: if any time is NaN or infinite, or the phase
-            max(beta_{+-})/4 * max|t| / hbar exceeds MAX_PHASE.
+        InvalidInput: if any time is no integer or float, NaN or
+            infinite, or the phase max(beta_{+-})/4 * max|t| / hbar
+            exceeds MAX_PHASE.
         NotResonant: if either detuning is nonzero (from `resonant_solution`).
     """
-    t = np.asarray(t)
-    if t.dtype.kind not in "iuf" or not np.isfinite(t).all():
-        raise InvalidInput("times must be finite")
-    t = t.astype(float)
+    try:
+        t = _checked_array(t, "times", finite=True)
+    except InvalidInput:  # one message for every fault
+        raise InvalidInput("times must be finite") from None
     solution = resonant_solution(p)
     beta_p = solution.plus.beta
     beta_m = solution.minus.beta
@@ -358,15 +366,15 @@ def trajectory(
 
     Raises:
         InvalidInput: if steps is not an integer in [2, MAX_OUTPUT_VALUES],
-            t_max is not positive and finite, or max|E| * t_max / hbar
-            exceeds MAX_PHASE.
+            t_max is not positive and finite, psi0 is no StateVector, or
+            max|E| * t_max / hbar exceeds MAX_PHASE.
     """
     steps = _checked_int(steps, "steps", 2)
     _check_output_size("a trajectory", steps)
     t_max = _checked_float(t_max, "tmax", "positive")
     dec = hermitian_eigensolve(build_positional(p))
     times = np.linspace(0.0, t_max, steps)
-    return _sampled(dec.values, dec.vectors, psi0.to_positional().amplitudes, times)
+    return _sampled(dec.values, dec.vectors, _positional(psi0), times)
 
 
 def _sampled(energies, vectors, amps0, times) -> Trajectory:

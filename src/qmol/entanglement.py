@@ -31,9 +31,10 @@ from .errors import (
     NonHermitianInput,
     NotNormalized,
     NumericOverflow,
+    _checked_array,
 )
 from .linalg import _hermitian_eigenvalues, _pivoted_cholesky
-from .states import Basis, StateVector, _check_unit_norm
+from .states import StateVector, _check_unit_norm
 
 __all__ = [
     "ConcurrenceResult",
@@ -76,10 +77,19 @@ class ConcurrenceResult:
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """Spin-flipped matrix (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    """Spin-flipped matrix (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y).
+
+    Raises:
+        InvalidInput: unless rho is a 4x4 array of finite numbers.
+    """
+    return _flipped(_checked_array(rho, "rho", (4, 4), complex, finite=True))
+
+
+def _flipped(rho: np.ndarray) -> np.ndarray:
+    """`spin_flip` of a checked 4x4 complex rho with finite entries.
+
+    An infinite entry times its sign, taken as complex, would give NaN.
+    """
     return _FLIP_SIGNS * rho.conj()[::-1, ::-1]
 
 
@@ -108,12 +118,11 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     decision to rho's lowest eigenvalue.
 
     Raises:
-        InvalidDensityMatrix: if rho fails the Hermiticity, trace, or
-            positivity checks (eigenvalues below -1e-12).
+        InvalidDensityMatrix: unless rho is a 4x4 array of numbers, or
+            if it fails the Hermiticity, trace, or positivity checks
+            (eigenvalues below -1e-12).
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidDensityMatrix(f"expected a 4x4 matrix, got shape {rho.shape}")
+    rho = _checked_array(rho, "rho", (4, 4), complex, InvalidDensityMatrix)
     try:
         factor, residue = _pivoted_cholesky(rho)
     except NonHermitianInput:
@@ -142,23 +151,20 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     value = lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]
     value = min(max(float(value), 0.0), 1.0)
     lambdas.setflags(write=False)
-    return ConcurrenceResult(value=value, lambdas=lambdas, rho_tilde=spin_flip(rho))
+    return ConcurrenceResult(value=value, lambdas=lambdas, rho_tilde=_flipped(rho))
 
 
 def concurrence_pure(psi: StateVector | np.ndarray) -> float:
     """Concurrence 2|c_LL*c_RR - c_LR*c_RL| of a positional-basis pure state.
 
     Raises:
-        NotNormalized: if the amplitudes do not have unit norm.
+        NotNormalized: unless psi is a StateVector or an array of four
+            numbers with unit norm.
     """
     if isinstance(psi, StateVector):
-        if psi.basis is not Basis.POSITIONAL:
-            psi = psi.to_positional()
-        amps = psi.amplitudes
+        amps = psi.to_positional().amplitudes
     else:
-        amps = np.asarray(psi, dtype=complex).reshape(-1)
-        if amps.shape != (4,):
-            raise NotNormalized(f"expected 4 amplitudes, got {amps.shape}")
+        amps = _checked_array(psi, "psi", (4,), complex, NotNormalized)
         _check_unit_norm(amps, _PURE_NORM_TOL)
     value = 2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2])
     return min(max(float(value), 0.0), 1.0)

@@ -1,8 +1,10 @@
-"""Exception types raised by the public API, and the two rules for scalar inputs."""
+"""Exception types raised by the public API, and the rules for scalar and array inputs."""
 
 import operator
 from math import isfinite, nan
 from numbers import Real
+
+import numpy as np
 
 __all__ = [
     "QmolError",
@@ -84,3 +86,40 @@ def _checked_float(value, name: str, bound: str = "") -> float:
         must = f"{bound} and finite" if bound else "finite"
         raise InvalidInput(f"{name} must be {must}, got {value!r}")
     return x
+
+
+# the dtype kinds `_checked_array` converts to each target dtype, and their names
+_ARRAY_KINDS = {float: "iuf", complex: "iufc", None: "iufc", bool: "b"}
+_KIND_NAMES = {"iuf": "real numbers", "iufc": "numbers", "b": "bools"}
+
+
+def _checked_array(value, name, shape=None, dtype=float, error=InvalidInput, finite=False):
+    """value as an array of dtype float, complex or bool, by one `np.asarray`, copy=False.
+
+    Integers and floats pass as float, or as complex where dtype is
+    complex.  Complex numbers pass only where dtype is complex or None;
+    None keeps them complex and makes integers and floats float.  Bools
+    pass only as bool.  Strings, objects (None entries, ragged nesting),
+    datetimes and records raise `error`, as does a shape that does not
+    fit, and with `finite` a NaN or an infinity.  shape None takes any
+    shape; a tuple that shape, where None takes any length, and (n,) any
+    array of n elements, returned as shape (n,).
+    """
+    kinds = _ARRAY_KINDS[dtype]
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting, or items numpy cannot read
+        a = np.asarray(None)
+    if a.dtype.kind not in kinds:
+        raise error(f"{name} must be an array of {_KIND_NAMES[kinds]}, got dtype {a.dtype}")
+    if shape is not None and a.shape != shape:
+        if len(shape) == 1 and a.size == shape[0]:
+            a = a.reshape(shape)
+        elif a.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, a.shape)):
+            dims = "x".join("*" if n is None else str(n) for n in shape)
+            what = f"{dims} elements" if len(shape) == 1 else f"a {dims} matrix"
+            raise error(f"expected {what}, got shape {a.shape}")
+    a = a.astype(dtype or (complex if a.dtype.kind == "c" else float), copy=False)
+    if finite and not np.isfinite(a).all():
+        raise error(f"{name} must be finite")
+    return a

@@ -46,7 +46,7 @@ from math import frexp, sqrt
 
 import numpy as np
 
-from .errors import ConvergenceError, NonHermitianInput, NumericOverflow
+from .errors import ConvergenceError, NonHermitianInput, NumericOverflow, _checked_array
 
 __all__ = [
     "EigenDecomposition",
@@ -79,9 +79,20 @@ _SCALE_MAX = 2.0**500
 
 
 def expectation(m: np.ndarray, psi: np.ndarray) -> float:
-    """Real expectation value <psi|m|psi> of a Hermitian operator."""
-    psi = np.asarray(psi)
-    return float(np.real(np.vdot(psi, np.asarray(m) @ psi)))
+    """Real expectation value <psi|m|psi> of a Hermitian operator.
+
+    Raises:
+        InvalidInput: unless m is a 4x4 array and psi an array of four
+            elements, both of finite numbers.
+        NumericOverflow: if the value does not fit a double.
+    """
+    m = _checked_array(m, "m", (4, 4), dtype=None, finite=True)
+    psi = _checked_array(psi, "psi", (4,), dtype=None, finite=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in inf or NaN
+        value = float(np.real(np.vdot(psi, m @ psi)))
+    if not isfinite(value):
+        raise NumericOverflow("<psi|m|psi> exceeds the double range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -125,7 +136,8 @@ def _checked_max_abs(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonHermitianInput("matrix contains NaN or Inf entries")
     big = np.abs(m).max(axis=(-2, -1))
-    asym = np.abs(m - np.swapaxes(m, -2, -1)).max(axis=(-2, -1))
+    with np.errstate(over="ignore"):  # a difference beyond the double range is inf
+        asym = np.abs(m - np.swapaxes(m, -2, -1)).max(axis=(-2, -1))
     if np.any(asym > _HERM_TOL * np.maximum(1.0, big)):
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
     return big
@@ -173,7 +185,8 @@ def hermitian_eigensolve(m: np.ndarray) -> EigenDecomposition:
     eigenvalues alone, `_hermitian_eigenvalues` skips the eigenvectors.
 
     Raises:
-        NonHermitianInput: if m is not 4x4 Hermitian with finite entries.
+        NonHermitianInput: unless m is a 4x4 array of numbers, Hermitian
+            with finite entries.
         ConvergenceError: if the off-diagonal norm does not fall below
             1e-14 * |m|_F (not reachable for well-formed input).
         NumericOverflow: if an entry's modulus or an eigenvalue does not
@@ -305,9 +318,7 @@ def _jacobi(
     norm the tolerances are relative to, the scale exponent and the
     largest |m_ij|.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise NonHermitianInput(f"expected a 4x4 matrix, got shape {m.shape}")
+    m = _checked_array(m, "m", (4, 4), complex, NonHermitianInput)
     kind = complex if m.imag.any() else float
     if kind is float:
         m = m.real
@@ -393,18 +404,13 @@ def symmetric_eigensolve_batch(
         degenerate_pairs: (N, 3) flags for the adjacent pairs.
 
     Raises:
-        NonHermitianInput: if h is not an (N, 4, 4) stack of finite real
-            symmetric matrices.
+        NonHermitianInput: unless h is an (N, 4, 4) stack of finite real
+            symmetric matrices, of integers or floats.
         ConvergenceError: if any matrix is unconverged after 60 sweeps.
         NumericOverflow: if the eigenvalues of a matrix with entries above
             2**500 do not fit in a double.
     """
-    h = np.asarray(h)
-    if np.iscomplexobj(h) or h.ndim != 3 or h.shape[1:] != (4, 4):
-        raise NonHermitianInput(
-            f"expected a real (N, 4, 4) stack, got {h.dtype} of shape {h.shape}"
-        )
-    h = h.astype(float, copy=False)
+    h = _checked_array(h, "h", (None, 4, 4), float, NonHermitianInput)
     big = _checked_max_abs(h)
     exp = _scale_exponent(big)
     scaled = bool(exp.any())

@@ -44,6 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
+from .errors import _checked_array
 from .sweep import SweepGrid
 
 __all__ = [
@@ -230,10 +231,12 @@ def sweep_csv_bytes(grid: SweepGrid, meta: dict) -> bytes:
 
 
 def pgm_bytes(values: np.ndarray) -> bytes:
-    """Binary P5 graymap of a [0, 1] matrix; row 0 is written first."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
+    """Binary P5 graymap of a [0, 1] matrix; row 0 is written first.
+
+    values may be any 2-D array of finite integers or floats; values
+    outside [0, 1] are clipped to it.  Anything else raises InvalidInput.
+    """
+    values = _checked_array(values, "values", (None, None), finite=True)
     gray = np.rint(np.clip(values, 0.0, 1.0) * 255.0).astype(np.uint8)
     height, width = gray.shape
     return f"P5\n{width} {height}\n255\n".encode("ascii") + gray.tobytes()

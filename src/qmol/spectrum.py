@@ -18,7 +18,7 @@ from math import hypot, isfinite, sqrt
 
 import numpy as np
 
-from .errors import NotResonant, NumericOverflow
+from .errors import NotResonant, NumericOverflow, _checked_float
 from .hamiltonian import SystemParams, build_positional
 from .linalg import EigenDecomposition, hermitian_eigensolve, pair_flags_to_states
 from .states import BELL_MATRIX, Basis, StateVector
@@ -204,7 +204,11 @@ def classify_resonance(p: SystemParams, tol: float = 1e-12) -> ResonanceKind:
     eps1 = eps2 != 0 (the odd Bell block keeps its singlet eigenstate);
     opposite detuning means eps1 = -eps2 != 0 (the even combination
     survives instead).
+
+    Raises:
+        InvalidInput: unless tol is a nonnegative and finite real number.
     """
+    tol = _checked_float(tol, "tol", "nonnegative")
     if abs(p.eps1) <= tol and abs(p.eps2) <= tol:
         return ResonanceKind.FULL_RESONANCE
     if abs(p.eps_diff) <= tol:

@@ -16,7 +16,7 @@ from math import hypot, sqrt
 
 import numpy as np
 
-from .errors import InvalidInput, NotNormalized
+from .errors import InvalidInput, NotNormalized, _checked_array
 
 __all__ = [
     "Basis",
@@ -73,22 +73,26 @@ BELL_MATRIX = _bell_matrix()
 
 @dataclass(frozen=True)
 class StateVector:
-    """Unit-norm amplitude vector tagged with the basis it is written in."""
+    """Unit-norm amplitude vector tagged with the basis it is written in.
+
+    The amplitudes may be any array or nested sequence of four integers,
+    floats or complex numbers, whatever its shape; they are stored as a
+    read-only complex copy of shape (4,).  Anything else, bools and
+    strings among it, raises InvalidInput, as does a basis that is no
+    `Basis`; a norm that is not 1 within 1e-12 raises NotNormalized.
+    """
 
     amplitudes: np.ndarray
     basis: Basis = Basis.POSITIONAL
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (4,):
-            amps = amps.reshape(-1)
-            if amps.shape != (4,):
-                raise ValueError(f"expected 4 amplitudes, got {amps.shape}")
+        # a copy, so that freezing it leaves the caller's array writable
+        amps = _checked_array(self.amplitudes, "amplitudes", (4,), complex).copy()
         _check_unit_norm(amps, _NORM_TOL)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         if not isinstance(self.basis, Basis):
-            raise ValueError(f"basis must be a Basis member, got {self.basis!r}")
+            raise InvalidInput(f"basis must be a Basis member, got {self.basis!r}")
 
     @property
     def probabilities(self) -> np.ndarray:

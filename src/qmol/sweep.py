@@ -16,9 +16,10 @@ from math import isfinite
 
 import numpy as np
 
-from .dynamics import _check_output_size, _sampled
+from .dynamics import _check_output_size, _positional, _sampled
 from .entanglement import concurrence_from_amplitudes
-from .errors import InvalidInput, NotResonant, QmolError, _checked_float, _checked_int
+from .errors import InvalidInput, NotResonant, QmolError
+from .errors import _checked_array, _checked_float, _checked_int
 from .hamiltonian import SystemParams, _positional_matrices
 from .linalg import pair_flags_to_states, symmetric_eigensolve_batch
 
@@ -77,6 +78,11 @@ class SweepGrid:
     cells whose eigenvector sits in a near-degenerate pair and is
     therefore basis-ambiguous (the value is still emitted under the
     solver's phase convention).
+
+    values may be any (y count, x count) array of finite integers or
+    floats, degenerate_mask one of bools; they are stored as read-only
+    float and bool arrays, without a copy where they already are such.
+    Anything else raises InvalidInput.
     """
 
     x_axis: Axis
@@ -85,14 +91,14 @@ class SweepGrid:
     degenerate_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        expected = (self.y_axis.count, self.x_axis.count)
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape}, expected {expected}")
-        self.values.setflags(write=False)
+        shape = (self.y_axis.count, self.x_axis.count)
+        arrays = {"values": _checked_array(self.values, "values", shape, finite=True)}
         if self.degenerate_mask is not None:
-            if self.degenerate_mask.shape != expected:
-                raise ValueError("degenerate mask shape mismatch")
-            self.degenerate_mask.setflags(write=False)
+            mask = _checked_array(self.degenerate_mask, "degenerate_mask", shape, bool)
+            arrays["degenerate_mask"] = mask
+        for field, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, field, array)
 
 
 def eigen_concurrence_map(
@@ -218,7 +224,7 @@ def _dynamics_map(x_axis: Axis, y_axis: Axis, psi0: StateVector, couplings) -> S
     """
     _check_output_size("a map", y_axis.count, x_axis.count)
     times, ys = x_axis.values, y_axis.values
-    amps0 = psi0.to_positional().amplitudes
+    amps0 = _positional(psi0)
     values = np.empty((y_axis.count, x_axis.count))
 
     def solve(rows: range) -> None:

@@ -6,6 +6,10 @@ give, and floats, bools and out-of-range values raise the typed error.
 Energies, times, ratios and axis endpoints pass one float rule, so
 strings, bools, complex numbers, None and values beyond the double range
 raise the typed error too.
+Array inputs (amplitudes, 4x4 matrices, stacks, times, map values and
+masks) pass one array rule, so a wrong size, a bool, string or object
+array, or a NaN where finiteness is checked raises the site's typed
+error, and an initial state that is no StateVector raises InvalidInput.
 """
 
 import warnings
@@ -20,11 +24,23 @@ from qmol.dynamics import (
     propagate_rk4,
     trajectory,
 )
-from qmol.errors import InvalidInput
+from qmol.entanglement import concurrence, concurrence_pure, spin_flip
+from qmol.errors import (
+    InvalidDensityMatrix,
+    InvalidInput,
+    NonHermitianInput,
+    NotNormalized,
+    NumericOverflow,
+    QmolError,
+)
 from qmol.hamiltonian import SystemParams
-from qmol.states import basis_state
+from qmol.linalg import expectation, hermitian_eigensolve, symmetric_eigensolve_batch
+from qmol.serialize import pgm_bytes
+from qmol.spectrum import classify_resonance
+from qmol.states import StateVector, basis_state
 from qmol.sweep import (
     Axis,
+    SweepGrid,
     dynamics_detuning_map,
     dynamics_tunneling_map,
     eigen_concurrence_map,
@@ -180,3 +196,91 @@ def _float_runs(x):
 def test_numpy_real_scalars_give_the_bits_of_python_floats(real):
     for got, expected in zip(_float_runs(real), _float_runs(float), strict=True):
         assert got.tobytes() == expected.tobytes()
+
+
+_AX = Axis("x", 0, 1, 3, "")
+_RL = np.array([0.0, 0.0, 1.0, 0.0])
+# a stack whose asymmetry, h[0, 0, 1] - h[0, 1, 0], overflows
+_ASYMMETRIC_HUGE = np.zeros((1, 4, 4))
+_ASYMMETRIC_HUGE[0, 0, 1], _ASYMMETRIC_HUGE[0, 1, 0] = 1.7e308, -1.7e308
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: StateVector(np.zeros(5)), InvalidInput),
+        (lambda: StateVector(None), InvalidInput),
+        (lambda: StateVector("abcd"), InvalidInput),
+        (lambda: StateVector(["1", "0", "0", "0"]), InvalidInput),
+        (lambda: StateVector([True, False, False, False]), InvalidInput),
+        (lambda: StateVector([[1.0, 0.0], [0.0]]), InvalidInput),
+        (lambda: StateVector(_RL, "positional"), InvalidInput),
+        (lambda: spin_flip(np.eye(3)), InvalidInput),
+        (lambda: spin_flip("x"), InvalidInput),
+        (lambda: spin_flip(np.diag([np.inf * 1j, 0.0, 0.0, 0.0])), InvalidInput),
+        (lambda: concurrence("x"), InvalidDensityMatrix),
+        (lambda: concurrence_pure("abcd"), NotNormalized),
+        (lambda: hermitian_eigensolve("x"), NonHermitianInput),
+        (lambda: symmetric_eigensolve_batch(np.full((1, 4, 4), "a")), NonHermitianInput),
+        (lambda: expectation(np.eye(3), _RL), InvalidInput),
+        (lambda: expectation(np.eye(4), [np.nan, 0.0, 0.0, 1.0]), InvalidInput),
+        (lambda: expectation(np.full((4, 4), 1e300), [1e10, 0.0, 0.0, 0.0]), NumericOverflow),
+        (lambda: symmetric_eigensolve_batch(_ASYMMETRIC_HUGE), NonHermitianInput),
+        (lambda: pgm_bytes(np.zeros(3)), InvalidInput),
+        (lambda: pgm_bytes([["a"]]), InvalidInput),
+        (lambda: pgm_bytes(np.full((2, 2), np.nan)), InvalidInput),
+        (lambda: SweepGrid(_AX, _AX, np.zeros((2, 3))), InvalidInput),
+        (lambda: SweepGrid(_AX, _AX, [[0] * 3] * 3, np.zeros((3, 3))), InvalidInput),
+        (lambda: propagate(_TUNNELED, [1, 0, 0, 0], 1.0), InvalidInput),
+        (lambda: propagate_rk4(_TUNNELED, _RL, 1.0), InvalidInput),
+        (lambda: trajectory(_TUNNELED, np.array([1, 0, 0, 0]), 1.0, 3), InvalidInput),
+        (lambda: dynamics_tunneling_map(SystemParams(), 1.0, 3, 0.0, 1.0, 3, "RL"), InvalidInput),
+        (lambda: dynamics_detuning_map(_TUNNELED, 1.0, 3, -1.0, 1.0, 3, None, 1), InvalidInput),
+        (lambda: classify_resonance(_TUNNELED, tol="a"), InvalidInput),
+        (lambda: classify_resonance(_TUNNELED, tol=float("nan")), InvalidInput),
+        (lambda: classify_resonance(_TUNNELED, tol=-1.0), InvalidInput),
+    ],
+)
+def test_bad_arrays_states_and_tolerances_raise_the_sites_typed_error(call, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: spin_flip(np.eye(3)), "expected a 4x4 matrix, got shape (3, 3)"),
+        (lambda: StateVector(np.zeros(5)), "expected 4 elements, got shape (5,)"),
+        (
+            lambda: StateVector([True, False, False, False]),
+            "amplitudes must be an array of numbers, got dtype bool",
+        ),
+        (
+            lambda: symmetric_eigensolve_batch(np.zeros((2, 4, 4), dtype=complex)),
+            "h must be an array of real numbers, got dtype complex128",
+        ),
+        (lambda: pgm_bytes(np.full((2, 2), np.inf)), "values must be finite"),
+        (lambda: propagate(_TUNNELED, [1, 0, 0, 0], 1.0), "psi0 must be a StateVector, got list"),
+    ],
+)
+def test_the_array_rule_names_the_fault(call, message):
+    with pytest.raises(QmolError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_array_inputs_of_any_integer_or_float_dtype_give_the_bits_of_float64():
+    # |Phi+><Phi+|, exact in every dtype below, and twice it, exact in integers
+    rho = np.array([[1.0, 0.0, 0.0, 1.0], [0.0] * 4, [0.0] * 4, [1.0, 0.0, 0.0, 1.0]]) / 2.0
+    for same in (rho.astype(np.float32), rho.astype(np.float16), rho.tolist()):
+        assert concurrence(same).lambdas.tobytes() == concurrence(rho).lambdas.tobytes()
+        assert pgm_bytes(same) == pgm_bytes(rho)
+    for same in ((2 * rho).astype(np.int64), (2 * rho).astype(np.uint8), (2 * rho).tolist()):
+        assert spin_flip(same).tobytes() == spin_flip(2 * rho).tobytes()
+        assert pgm_bytes(same) == pgm_bytes(2 * rho)
+    times = np.array([0.0, 1.0, 2.0])
+    for same in (times.astype(np.int64), times.astype(np.float32), times.tolist()):
+        expected = np.array(analytic_populations(_TUNNELED, times))
+        assert np.array(analytic_populations(_TUNNELED, same)).tobytes() == expected.tobytes()
