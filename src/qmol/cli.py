@@ -14,10 +14,11 @@ line-oriented `key = value` text with `#` comments.  Every CSV starts
 with the `# key = value` header `_metadata` writes, which reruns only
 if it holds all of its keys; exit codes are 0 (ok), 2 (bad input),
 3 (numeric failure), 4 (no solution), 141 (output pipe closed).
-Flags, config files and CSV headers are read by one function,
-`_run_config`, which only converts text; each range is checked by the
-library function that uses the value.  Each command renders its output
-as bytes (`_outputs`) and `main` writes them through `_emit`.
+Flags, config-file keys and CSV-header keys are declared in one table,
+`_KEYS`, and read by one function, `_run_config`, which only converts
+text; each range is checked by the library function that uses the value.
+Each command renders its output as bytes (`_outputs`) and `main` writes
+them through `_emit`.
 
 Output files are rewritten in place: `_emit` opens an existing file
 without truncating it, writes the new bytes over the old ones and then
@@ -46,7 +47,7 @@ from .entanglement import concurrence_pure
 from .errors import ConfigError, InvalidInput, NoRealSolution, QmolError
 from .hamiltonian import SystemParams
 from .serialize import (
-    column_fields,
+    _column_fields,
     pgm_bytes,
     sweep_csv_bytes,
     table_csv_bytes,
@@ -112,28 +113,41 @@ def _grid(text: str) -> tuple[float, float, int]:
     return _float(parts[0]), _float(parts[1]), _int(parts[2])
 
 
-#: Text-to-value conversion of every flag, config-file and CSV-header key.
-#: Ranges are not checked here but by the library function that uses the
-#: value, which raises InvalidInput; a key the command does not use is
-#: parsed and otherwise ignored.
-_CONVERTERS = {
-    "j": _float,
-    "d1": _float,
-    "d2": _float,
-    "e1": _float,
-    "e2": _float,
-    "ratio": _float,
-    "init": canonical_label,
-    "tmax": _float,
-    "steps": _int,
-    "kind": _kind,
-    "state": _int,
-    "sign": _int,
-    "grid": _grid,
-    "n": _int,
-    "m": _int,
-    "out": str,
-    "pgm": str,
+_MODEL_COMMANDS = ("spectrum", "dynamics", "sweep", "bell-times")  # all but verify
+
+#: Every key of a flag, config file or CSV header, in `--help` order: its
+#: text-to-value conversion, the commands that take it as a flag, and that
+#: flag's metavar and help.  Ranges are not checked here but by the library
+#: function that uses the value, which raises InvalidInput; a key the
+#: command does not use is parsed and otherwise ignored.  Defaults live in
+#: RunConfig and SystemParams; a help text that names one repeats it.
+_KEYS = {
+    "j": (_float, _MODEL_COMMANDS, "UEV", "Coulomb coupling (default 25)"),
+    "d1": (_float, _MODEL_COMMANDS, "UEV", "tunneling amplitude of qubit 1"),
+    "d2": (_float, _MODEL_COMMANDS, "UEV", "tunneling amplitude of qubit 2"),
+    "e1": (_float, _MODEL_COMMANDS, "UEV", "detuning of qubit 1"),
+    "e2": (_float, _MODEL_COMMANDS, "UEV", "detuning of qubit 2"),
+    "ratio": (_float, _MODEL_COMMANDS, "R", "set d1 = d2 = R * j"),
+    "init": (canonical_label, ("dynamics", "sweep"), "LABEL", "initial state (default RL)"),
+    "tmax": (_float, ("dynamics", "sweep"), "NS", "time span (default 3)"),
+    "steps": (_int, ("dynamics", "sweep"), "N", "time grid points (default 301)"),
+    "kind": (_kind, (), None, None),  # the sweep's positional KIND
+    "grid": (_grid, ("sweep",), "MIN:MAX:COUNT", "swept-axis grid"),
+    "state": (_int, ("sweep",), "0..3", "eigenstate index (eigen kind)"),
+    "sign": (_int, ("sweep",), "+1|-1", "e2 = sign * e1 (detuning kind)"),
+    "out": (str, ("spectrum", "dynamics", "sweep"), "PATH",
+            "write the CSV here, not to stdout (spectrum: to both)"),
+    "pgm": (str, ("sweep",), "PATH", "also write a P5 graymap"),
+    "n": (_int, ("bell-times",), "N", "plus-block half-periods (default 1)"),
+    "m": (_int, ("bell-times",), "M", "minus-block quarter-periods, odd (default 1)"),
+}
+
+_COMMANDS = {
+    "spectrum": "eigenvalues and eigenstate concurrences",
+    "dynamics": "time evolution of one initial state",
+    "sweep": "two-parameter concurrence map",
+    "bell-times": "maximal-entanglement condition",
+    "verify": "run the built-in invariant battery",
 }
 
 #: Keys that become SystemParams fields rather than RunConfig fields.
@@ -158,7 +172,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
         key, _, value = body.partition("=")
         key = key.strip()
-        if key not in _CONVERTERS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         raw[key] = value.strip()
     return raw
@@ -168,7 +182,7 @@ def _run_config(command: str, raw: dict[str, str]) -> RunConfig:
     """The RunConfig of `command` from `key = value` text; absent keys default."""
     if "ratio" in raw and ("d1" in raw or "d2" in raw):
         raise ConfigError("--ratio conflicts with --d1/--d2; give one or the other")
-    values = {key: _CONVERTERS[key](text) for key, text in raw.items()}
+    values = {key: _KEYS[key][0](text) for key, text in raw.items()}
     physical = {
         field: values.pop(key) for key, field in _PARAM_FIELDS.items() if key in values
     }
@@ -184,7 +198,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     flag_raw = {
         key: value
         for key, value in vars(args).items()
-        if key in _CONVERTERS and value is not None
+        if key in _KEYS and value is not None
     }
     file_raw = _read_config_file(args.config) if getattr(args, "config", None) else {}
     if any(key in flag_raw for key in _TUNNELING_KEYS):
@@ -231,7 +245,7 @@ def config_from_metadata(meta: dict[str, str]) -> RunConfig:
         if command not in ("spectrum", "dynamics", "sweep"):
             why = f"command {command!r} writes no CSV" if command else "missing command"
             raise ConfigError(why)
-        raw = {key: value for key, value in meta.items() if key in _CONVERTERS}
+        raw = {key: value for key, value in meta.items() if key in _KEYS}
         config = _run_config(command, raw)
         missing = [key for key in _metadata(config) if key not in meta]
         if missing:
@@ -247,10 +261,10 @@ def render_spectrum(config: RunConfig) -> bytes:
     dominant = [int(np.argmax(w)) for w in weights]
     rows = zip(
         "0123",
-        column_fields(system.energies),
-        column_fields([concurrence_pure(s) for s in system.states], bounded=True),
+        _column_fields(system.energies),
+        _column_fields([concurrence_pure(s) for s in system.states], bounded=True),
         [BELL_DISPLAY[k] for k in dominant],
-        column_fields([w[k] for w, k in zip(weights, dominant)], bounded=True),
+        _column_fields([w[k] for w, k in zip(weights, dominant)], bounded=True),
         ["yes" if flag else "no" for flag in system.degenerate_states],
     )
     header = ("state", "energy_ueV", "concurrence", "dominant_bell", "weight", "degenerate")
@@ -288,11 +302,11 @@ def render_bell_times(config: RunConfig) -> bytes:
     lines = [
         f"n = {condition.n}",
         f"m = {condition.m}",
-        f"j_ueV = {column_fields([condition.j])[0]}",
-        f"ratio = {column_fields([condition.ratio])[0]}",
-        f"delta1_ueV = {column_fields([condition.delta1])[0]}",
-        f"t_e_ns = {column_fields([condition.t_e])[0]}",
-        f"concurrence_at_t_e = {column_fields([checked], bounded=True)[0]}",
+        f"j_ueV = {_column_fields([condition.j])[0]}",
+        f"ratio = {_column_fields([condition.ratio])[0]}",
+        f"delta1_ueV = {_column_fields([condition.delta1])[0]}",
+        f"t_e_ns = {_column_fields([condition.t_e])[0]}",
+        f"concurrence_at_t_e = {_column_fields([checked], bounded=True)[0]}",
     ]
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -330,16 +344,6 @@ def _emit(data: bytes, path: str | None) -> None:
                 handle.truncate()
 
 
-def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--j", metavar="UEV", help="Coulomb coupling (default 25)")
-    sub.add_argument("--d1", metavar="UEV", help="tunneling amplitude of qubit 1")
-    sub.add_argument("--d2", metavar="UEV", help="tunneling amplitude of qubit 2")
-    sub.add_argument("--e1", metavar="UEV", help="detuning of qubit 1")
-    sub.add_argument("--e2", metavar="UEV", help="detuning of qubit 2")
-    sub.add_argument("--ratio", metavar="R", help="set d1 = d2 = R * j")
-    sub.add_argument("--config", metavar="PATH", help="key = value config file")
-
-
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse's own print drops an OSError, so that help into a closed
@@ -353,39 +357,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coupled charge-qubit spectra, dynamics, and entanglement maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    spectrum = sub.add_parser("spectrum", help="eigenvalues and eigenstate concurrences")
-    _add_param_flags(spectrum)
-    spectrum.add_argument("--out", metavar="PATH", help="also write the table as CSV")
-
-    dynamics = sub.add_parser("dynamics", help="time evolution of one initial state")
-    _add_param_flags(dynamics)
-    dynamics.add_argument("--init", metavar="LABEL", help="initial state (default RL)")
-    dynamics.add_argument("--tmax", metavar="NS", help="time span (default 3)")
-    dynamics.add_argument("--steps", metavar="N", help="grid points (default 301)")
-    dynamics.add_argument("--out", metavar="PATH", help="CSV path (default stdout)")
-
-    sweep = sub.add_parser("sweep", help="two-parameter concurrence map")
-    sweep.add_argument(
-        "kind", nargs="?", default=None, metavar="KIND",
-        help=f"map kind: {', '.join(SWEEP_KINDS)} (default eigen)",
-    )
-    _add_param_flags(sweep)
-    sweep.add_argument("--init", metavar="LABEL", help="initial state for dynamic kinds")
-    sweep.add_argument("--tmax", metavar="NS", help="time span for dynamic kinds")
-    sweep.add_argument("--steps", metavar="N", help="time grid points for dynamic kinds")
-    sweep.add_argument("--grid", metavar="MIN:MAX:COUNT", help="swept-axis grid")
-    sweep.add_argument("--state", metavar="0..3", help="eigenstate index (eigen kind)")
-    sweep.add_argument("--sign", metavar="+1|-1", help="e2 = sign * e1 (detuning kind)")
-    sweep.add_argument("--out", metavar="PATH", help="CSV path (default stdout)")
-    sweep.add_argument("--pgm", metavar="PATH", help="also write a P5 graymap")
-
-    bell = sub.add_parser("bell-times", help="maximal-entanglement condition")
-    _add_param_flags(bell)
-    bell.add_argument("--n", metavar="N", help="plus-block half-periods (default 1)")
-    bell.add_argument("--m", metavar="M", help="minus-block quarter-periods, odd (default 1)")
-
-    sub.add_parser("verify", help="run the built-in invariant battery")
+    for command, summary in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=summary)
+        if command == "sweep":
+            subparser.add_argument(
+                "kind", nargs="?", metavar="KIND",
+                help=f"map kind: {', '.join(SWEEP_KINDS)} (default eigen)",
+            )
+        for key, (_, commands, metavar, text) in _KEYS.items():
+            if command in commands:
+                subparser.add_argument(f"--{key}", metavar=metavar, help=text)
+                if key == "ratio":  # then --config, which names a source of keys
+                    subparser.add_argument(
+                        "--config", metavar="PATH", help="key = value config file"
+                    )
     return parser
 
 

@@ -14,7 +14,7 @@ from math import ceil, cos, hypot, isfinite, pi, prod, sqrt
 
 import numpy as np
 
-from .entanglement import concurrence_from_amplitudes
+from .entanglement import _concurrence_from_amplitudes
 from .errors import ConvergenceError, InvalidInput, NoRealSolution, NumericOverflow
 from .errors import _checked_array, _checked_float, _checked_int
 from .hamiltonian import SystemParams, build_positional
@@ -34,7 +34,12 @@ __all__ = [
 ]
 
 _POP_SUM_TOL = 1e-10
+#: |cos(omega_minus * t_e / hbar)| must be at most 1e-9 + _CROSSING_C * eps * x
+#: at the Bell time, x being that argument, m*pi/2 in exact arithmetic.
+#: The ten roundings from n, m and j to x, each up to eps/2, and pi's own
+#: put x up to 5.2 * eps * x away from m*pi/2.
 _CROSSING_TOL = 1e-9
+_CROSSING_C = 6.0
 
 #: Most time points a trajectory, and most values a sweep map, may hold.
 #: Larger requests raise InvalidInput before any array is allocated, so
@@ -306,7 +311,8 @@ def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
         raise ConvergenceError(
             f"inconsistent Bell time: {t_e!r} vs {t_e_check!r}"
         )
-    if not abs(cos(omega_minus * t_e / HBAR_UEV_NS)) <= _CROSSING_TOL:
+    x = omega_minus * t_e / HBAR_UEV_NS
+    if not abs(cos(x)) <= _CROSSING_TOL + _CROSSING_C * 2.0**-52 * x:
         raise ConvergenceError("minus-block quarter-period check failed at t_e")
     return BellCondition(
         n=n,
@@ -384,5 +390,5 @@ def _sampled(energies, vectors, amps0, times) -> Trajectory:
         times=times,
         amplitudes=amps,
         populations=np.abs(amps) ** 2,
-        concurrence=concurrence_from_amplitudes(amps),
+        concurrence=_concurrence_from_amplitudes(amps),
     )

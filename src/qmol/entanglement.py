@@ -15,7 +15,7 @@ cannot does a solve of rho's eigenvalues decide.  No matrix square root
 is formed and nothing cancels near the separable states, where the l_i
 are small.  The Gram solve runs to 1e-32 |tau^H tau|_F rather than the
 usual 1e-14, because its small eigenvalues enter C through their square
-roots; it takes about 30 us of a call's 61 us on a 2-core Intel Xeon.
+roots.
 For pure states the closed form 2|c_LL*c_RR - c_LR*c_RL| serves as an
 independent oracle.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "spin_flip",
     "concurrence",
     "concurrence_pure",
-    "concurrence_from_amplitudes",
 ]
 
 # sigma_y (x) sigma_y over {|LL>, |LR>, |RL>, |RR>} is the reversal of the
@@ -170,7 +169,7 @@ def concurrence_pure(psi: StateVector | np.ndarray) -> float:
     return min(max(float(value), 0.0), 1.0)
 
 
-def concurrence_from_amplitudes(amps: np.ndarray) -> np.ndarray:
+def _concurrence_from_amplitudes(amps: np.ndarray) -> np.ndarray:
     """Concurrence 2|c_LL*c_RR - c_LR*c_RL|, clipped to [0, 1], over the last axis.
 
     The array form behind trajectories and eigen maps: amps holds

@@ -3,7 +3,7 @@
 CSV files carry a `# key = value` metadata header holding the resolved run
 configuration at full float precision, so any output file can be
 regenerated byte-identically from its own header.  Numbers print with six
-digits after the point, in one format per column (`column_format`).
+digits after the point, in one format per column (`_column_format`).
 Heatmaps are written as binary 8-bit portable graymaps (P5) with
 gray = round(255 * concurrence) and row 0 at the y-axis minimum.
 
@@ -49,8 +49,6 @@ from .sweep import SweepGrid
 
 __all__ = [
     "fmt6",
-    "column_format",
-    "column_fields",
     "metadata_lines",
     "parse_metadata",
     "table_csv_bytes",
@@ -122,7 +120,7 @@ def table_csv_bytes(meta: dict, header: Sequence[str], rows: Iterable[Sequence[s
     return _csv_bytes(metadata_lines(meta) + [",".join(row) for row in (header, *rows)], [])
 
 
-def column_format(values, bounded: bool = False) -> str:
+def _column_format(values, bounded: bool = False) -> str:
     """`%.6f` or `%.6e`, the format of every field of one printed column.
 
     Columns of values in [0, 1] (populations, concurrence, weights) are
@@ -137,7 +135,7 @@ def column_format(values, bounded: bool = False) -> str:
     return "%.6e" if big and not digits or len(digits) > 17 else "%.6f"
 
 
-def column_fields(values, bounded: bool = False) -> list[str]:
+def _column_fields(values, bounded: bool = False) -> list[str]:
     """The fields of one column as tables print them."""
     body = b"".join(_fmt6_blocks((np.asarray(values, dtype=float), bounded)))
     return body.decode("ascii").split("\n")[:-1]
@@ -147,13 +145,13 @@ def _fmt6_blocks(*columns: tuple[np.ndarray, bool]) -> list[bytes]:
     """CSV lines of the columns side by side, in blocks of consecutive rows.
 
     Each column, a 1-D array or a 2-D block of columns with the same number
-    of rows, comes with whether its values lie in [0, 1] (`column_format`).
+    of rows, comes with whether its values lie in [0, 1] (`_column_format`).
     """
     spans, width = [], 0  # [first column, stop, format, sign, integer width]
     for values, bounded in columns:
         lo, hi = float(values.min()), float(values.max())
         # finite extremes settle the format without a pass over the column
-        fmt = column_format((lo, hi) if -np.inf < lo <= hi < np.inf else values, bounded)
+        fmt = _column_format((lo, hi) if -np.inf < lo <= hi < np.inf else values, bounded)
         kernel = fmt == "%.6f" and -_KERNEL_LIMIT < lo <= hi < _KERNEL_LIMIT  # else `%`
         sign, digits = (int(fmt6(lo)[0] == "-"), len(fmt6(max(-lo, hi))) - 7) if kernel else (0, 0)
         if not (digits and spans and spans[-1][2:] == [fmt, sign, digits]):

@@ -17,7 +17,7 @@ from math import isfinite
 import numpy as np
 
 from .dynamics import _check_output_size, _positional, _sampled
-from .entanglement import concurrence_from_amplitudes
+from .entanglement import _concurrence_from_amplitudes
 from .errors import InvalidInput, NotResonant, QmolError
 from .errors import _checked_array, _checked_float, _checked_int
 from .hamiltonian import SystemParams, _positional_matrices
@@ -139,7 +139,7 @@ def eigen_concurrence_map(
         iy, ix = np.divmod(np.arange(start, stop), steps)
         h = _positional_matrices(xs[ix], ys[iy], base.delta1, base.delta2, base.j)
         _, vectors, pairs = symmetric_eigensolve_batch(h)
-        values[start:stop] = concurrence_from_amplitudes(vectors[:, :, state_index])
+        values[start:stop] = _concurrence_from_amplitudes(vectors[:, :, state_index])
         mask[start:stop] = pair_flags_to_states(pairs.T)[state_index]
     shape = (steps, steps)
     return SweepGrid(

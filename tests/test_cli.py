@@ -1,4 +1,7 @@
+import argparse
+import dataclasses
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -125,6 +128,14 @@ def test_bell_times_second_branch(capsys):
     values = dict(line.split(" = ") for line in out.splitlines())
     assert values["ratio"] == "0.968246"
     assert values["concurrence_at_t_e"] == "1.000000"
+
+
+def test_bell_times_at_seven_million_quarter_periods(capsys):
+    # phase n*pi = 2.2e7 rad, inside MAX_PHASE; the quarter-period check
+    # at t_e once failed here with exit 3
+    code, out, err = run(capsys, "bell-times", "--n", "7000001", "--m", "7000001")
+    assert (code, err) == (0, "")
+    assert "concurrence_at_t_e = 1.000000\n" in out
 
 
 @pytest.mark.parametrize("j", ["1e300", "1e-300"])
@@ -309,12 +320,85 @@ def test_config_key_range_is_checked_where_it_is_used(tmp_path, capsys):
     assert code == 2 and "expected an integer" in err
 
 
-def test_config_file_unknown_key(tmp_path, capsys):
+# config names a source of keys, not a key of its own
+@pytest.mark.parametrize("key", ["jj", "config"])
+def test_config_file_unknown_key(key, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("jj = 20\n")
+    cfg.write_text(f"{key} = 20\n")
     code, _, err = run(capsys, "dynamics", "--config", str(cfg))
     assert code == 2
-    assert "jj" in err
+    assert f"unknown key {key!r}" in err
+
+
+def _subcommand_parsers():
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return commands.choices
+
+
+#: a value other than the default for every key a command takes as a flag
+FLAG_VALUES = {
+    "j": "20", "d1": "2", "d2": "3", "e1": "0.5", "e2": "-1", "ratio": "0.4",
+    "init": "Psi+", "tmax": "0.5", "steps": "7", "grid": "-2:2:5", "state": "2",
+    "sign": "-1", "out": "x.csv", "pgm": "x.pgm", "n": "3", "m": "5",
+}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "dynamics", "sweep", "bell-times"])
+def test_flag_and_config_line_give_one_run(command, tmp_path):
+    parser, cfg = build_parser(), tmp_path / "run.cfg"
+    flags = [
+        a.dest for a in _subcommand_parsers()[command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    ]
+    default = build_config(parser.parse_args([command]))
+    for key in flags:
+        by_flag = build_config(parser.parse_args([command, f"--{key}={FLAG_VALUES[key]}"]))
+        cfg.write_text(f"{key} = {FLAG_VALUES[key]}\n")
+        by_file = build_config(parser.parse_args([command, "--config", str(cfg)]))
+        assert by_flag == by_file != default, key
+    if command == "sweep":  # kind, the one key that is a positional
+        cfg.write_text("kind = detuning-dynamics\n")
+        assert build_config(parser.parse_args(["sweep", "detuning-dynamics"])) == build_config(
+            parser.parse_args(["sweep", "--config", str(cfg)])
+        )
+    assert len(flags) == {"spectrum": 7, "dynamics": 10, "sweep": 14, "bell-times": 8}[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--steps", "3"],
+        ["bell-times", "--out", "x"],
+        ["dynamics", "--grid", "0:1:3"],
+        ["verify", "--j", "1"],
+        ["verify", "--config", "x"],
+    ],
+)
+def test_flags_a_command_does_not_take_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+
+
+def test_every_default_a_help_line_names_is_the_default():
+    # defaults live in RunConfig and SystemParams; help text only repeats them
+    fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    fields |= {
+        key: getattr(SystemParams(), name) for key, name in qmol.cli._PARAM_FIELDS.items()
+    }
+    named = set()
+    for command, subparser in _subcommand_parsers().items():
+        for action in subparser._actions:
+            said = re.search(r"\(default (\w+)\)", action.help or "")
+            if said:
+                default = fields[action.dest]
+                text = default if isinstance(default, str) else f"{default:g}"
+                assert said.group(1) == text, (command, action.dest)
+                named.add(action.dest)
+    assert named == {"j", "init", "tmax", "steps", "kind", "n", "m"}
 
 
 def test_config_file_not_ascii(tmp_path, capsys):
@@ -639,11 +723,45 @@ def test_help_into_a_closed_pipe_exits_141_quietly(argv, unbuffered):
         os.close(write_end)
 
 
-def test_help_into_an_open_pipe_exits_0(capsys):
+#: the usage block of each --help, as the per-command parsers printed it
+#: before one table declared every key
+USAGE = {
+    "qmol": """\
+usage: qmol [-h] {spectrum,dynamics,sweep,bell-times,verify} ...
+""",
+    "spectrum": """\
+usage: qmol spectrum [-h] [--j UEV] [--d1 UEV] [--d2 UEV] [--e1 UEV]
+                     [--e2 UEV] [--ratio R] [--config PATH] [--out PATH]
+""",
+    "dynamics": """\
+usage: qmol dynamics [-h] [--j UEV] [--d1 UEV] [--d2 UEV] [--e1 UEV]
+                     [--e2 UEV] [--ratio R] [--config PATH] [--init LABEL]
+                     [--tmax NS] [--steps N] [--out PATH]
+""",
+    "sweep": """\
+usage: qmol sweep [-h] [--j UEV] [--d1 UEV] [--d2 UEV] [--e1 UEV] [--e2 UEV]
+                  [--ratio R] [--config PATH] [--init LABEL] [--tmax NS]
+                  [--steps N] [--grid MIN:MAX:COUNT] [--state 0..3]
+                  [--sign +1|-1] [--out PATH] [--pgm PATH]
+                  [KIND]
+""",
+    "bell-times": """\
+usage: qmol bell-times [-h] [--j UEV] [--d1 UEV] [--d2 UEV] [--e1 UEV]
+                       [--e2 UEV] [--ratio R] [--config PATH] [--n N] [--m M]
+""",
+    "verify": """\
+usage: qmol verify [-h]
+""",
+}
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_help_into_an_open_pipe_exits_0(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
     with pytest.raises(SystemExit) as info:
-        main(["sweep", "--help"])
+        main([command, "--help"] if command != "qmol" else ["--help"])
     assert info.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: qmol sweep")
+    assert capsys.readouterr().out.partition("\n\n")[0] + "\n" == USAGE[command]
 
 
 EIGEN_MAP = ["sweep", "eigen", "--d1", "1.5625", "--d2", "1.5625", "--state", "1"]

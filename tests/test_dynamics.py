@@ -353,7 +353,11 @@ def test_bell_time_depends_only_on_m_and_j():
         assert bell_condition(n, 1, 25.0).t_e == pytest.approx(expected, abs=1e-13)
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 3), (3, 5), (4, 7)])
+# the last two failed the quarter-period check at a fixed 1e-9, which the
+# rounding of its argument m*pi/2 alone exceeds
+@pytest.mark.parametrize(
+    "n,m", [(1, 1), (2, 1), (2, 3), (3, 5), (4, 7), (3723243, 3723243), (7000001, 7000001)]
+)
 def test_bell_condition_parameters_generate_bell_state(n, m):
     bc = bell_condition(n, m, 25.0)
     evolved = propagate(bc.params(), basis_state("RL"), bc.t_e)

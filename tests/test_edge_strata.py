@@ -3,11 +3,15 @@
 Each stratum holds one route to an independent one at the edge where it
 is most likely to fail: spectral against analytic propagation up to
 `MAX_PHASE`, Jacobi against the closed-form resonant spectrum over
-sixteen decades of tunneling, and the scalar against the batch kernel
+sixteen decades of tunneling, the scalar against the batch kernel
 (and numpy's `eigvalsh`) at power-of-two scales either side of the range
-that is solved unscaled.  The bounds were fixed before the strata ran,
-and the draws are derandomized, so each run sees the same inputs.
+that is solved unscaled, and `bell_condition`'s Bell time against the
+exact 2 m pi hbar / j up to m = 1e9.  The bounds were fixed before the
+strata ran, and the draws are derandomized, so each run sees the same
+inputs.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_linalg import assert_batch_matches_scalar  # noqa: E402
 
-from qmol.dynamics import MAX_PHASE, analytic_populations, trajectory  # noqa: E402
+from qmol.dynamics import MAX_PHASE, analytic_populations, bell_condition, trajectory  # noqa: E402
 from qmol.hamiltonian import SystemParams, _positional_matrices  # noqa: E402
 from qmol.linalg import symmetric_eigensolve_batch  # noqa: E402
 from qmol.spectrum import eigensystem, resonant_solution  # noqa: E402
@@ -31,6 +35,9 @@ _EPS = np.finfo(float).eps
 _PHASE_C = 16.0
 # eigenvalues may differ by this times max|E|
 _SPECTRUM_TOL = 32.0 * _EPS
+# the Bell time, and omega_minus * t_e / hbar, may differ from their exact
+# values by this, relative: ten roundings of eps/2 and pi's own
+_BELL_TOL = 6.0 * _EPS
 
 
 # -- analytic vs spectral populations up to MAX_PHASE ---------------------------
@@ -101,3 +108,30 @@ def test_scalar_and_batch_solves_either_side_of_the_scaling_edges(edge):
     reference = np.linalg.eigvalsh(h)
     bound = _SPECTRUM_TOL * np.abs(reference).max(axis=1, keepdims=True)
     assert (np.abs(values - reference) <= bound).all()
+
+
+# -- Bell times against 2 m pi hbar / j, m up to 1e9 ----------------------------
+
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+@st.composite
+def _bell_orders(draw):
+    """Odd m up to 1e9, n from the least with m < 2n to 4m, j over 590 decades.
+
+    j stays above 1e-290, where t_e = 2 m pi hbar / j fits a double.
+    """
+    m = 2 * draw(st.integers(0, 5 * 10**8 - 1)) + 1
+    n = draw(st.one_of(st.just(m), st.integers(m // 2 + 1, 4 * m)))
+    return n, m, 10.0 ** draw(st.floats(-290.0, 300.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_bell_orders())
+def test_bell_condition_up_to_a_billion_quarter_periods(order):
+    n, m, j = order
+    condition = bell_condition(n, m, j)  # its own quarter-period check passes
+    exact = 2 * m * _PI * Fraction(HBAR_UEV_NS) / Fraction(j)
+    assert abs(Fraction(condition.t_e) - exact) <= _BELL_TOL * exact
+    x = condition.omega_minus * condition.t_e / HBAR_UEV_NS
+    assert abs(Fraction(x) - m * _PI / 2) <= _BELL_TOL * (m * _PI / 2)
