@@ -275,13 +275,15 @@ def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
     """Solve for the equal-tunneling ratio that makes both blocks commensurate.
 
     beta_plus = hypot(j, 4*delta1) squares neither, so j may span the
-    whole double range.
+    whole double range, and the ratio comes from quotients of exact
+    integers, so it keeps a few eps where m is close to 2n.
 
     Raises:
         InvalidInput: if n or m are not positive integers, m is even, or
             j is not positive and finite.
         NoRealSolution: if m >= 2n, where the ratio formula turns imaginary.
-        NumericOverflow: if beta_plus or t_e does not fit a double.
+        NumericOverflow: if 4n, m or (2n + m)/m is at or past 2**1024, or
+            delta1, beta_plus or t_e does not fit a double.
     """
     n = _checked_int(n, "n", 1)
     m = _checked_int(m, "m", 1)
@@ -292,7 +294,13 @@ def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
         raise NoRealSolution(
             f"no real tunneling ratio for n={n}, m={m}: requires m < 2n"
         )
-    ratio = 0.25 * sqrt(4.0 * n * n / (m * m) - 1.0)
+    try:
+        below, above, n_float, m_float = (2 * n - m) / m, (2 * n + m) / m, float(n), float(m)
+    except OverflowError:  # an int converts to a double only below 2**1024
+        raise NumericOverflow("n, m and (2n + m)/m must be below 2**1024") from None
+    # sqrt(4n^2/m^2 - 1)/4, the roots taken apart where the product overflows
+    product = below * above
+    ratio = 0.25 * sqrt(product) if isfinite(product) else 0.25 * sqrt(below) * sqrt(above)
     delta1 = ratio * j  # delta_plus with delta1 = delta2; delta_minus is 0
     beta_plus = hypot(j, 4.0 * delta1)
     beta_minus = j
@@ -300,13 +308,13 @@ def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
     omega_minus = beta_minus / 4.0
     # n*pi*hbar/omega_plus and m*pi*hbar/(2*omega_minus), the same bits
     # where the omegas are normal, but with no division by an underflown one
-    t_e = 4.0 * n * pi * HBAR_UEV_NS / beta_plus
-    if not (isfinite(beta_plus) and isfinite(t_e)):
+    t_e = 4.0 * n_float * pi * HBAR_UEV_NS / beta_plus
+    if not (isfinite(beta_plus) and isfinite(t_e)):  # delta1 = inf makes beta_plus inf
         raise NumericOverflow(
             f"the Bell condition for n = {n}, m = {m}, j = {j!r} does not fit a "
             f"double: beta_plus = {beta_plus!r} ueV, t_e = {t_e!r} ns"
         )
-    t_e_check = 2.0 * m * pi * HBAR_UEV_NS / beta_minus
+    t_e_check = 2.0 * m_float * pi * HBAR_UEV_NS / beta_minus
     if not abs(t_e - t_e_check) <= 1e-12 * t_e:
         raise ConvergenceError(
             f"inconsistent Bell time: {t_e!r} vs {t_e_check!r}"

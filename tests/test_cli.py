@@ -212,6 +212,23 @@ def test_bell_times_no_solution_exit_code(capsys):
     assert "no real" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "n, m, expected",
+    [
+        # ratio sqrt(3)/4, but t_e = 1.7e159 ns is past the propagation's phase bound
+        ("1" + "0" * 160, "1" + "0" * 159 + "1", 2),
+        # n is past 2**1024, so no double holds it
+        ("1" + "0" * 400, "1", 3),
+    ],
+    ids=["1e160,1e160+1", "1e400,1"],
+)
+def test_bell_times_beyond_the_double_range_exits_with_one_error_line(n, m, expected, capsys):
+    # int to float conversion raised a bare OverflowError here
+    code, out, err = run(capsys, "bell-times", "--n", n, "--m", m)
+    assert (code, out) == (expected, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bell_times_rejects_even_m(capsys):
     code, _, _ = run(capsys, "bell-times", "--n", "2", "--m", "2")
     assert code == 2

@@ -1,5 +1,6 @@
 import warnings
-from math import ceil
+from fractions import Fraction
+from math import ceil, pi
 
 import numpy as np
 import pytest
@@ -426,6 +427,35 @@ def test_bell_condition_outside_double_range():
         bell_condition(1, 1, 1.7e308)  # beta_plus is 2 j
     with pytest.raises(NumericOverflow):
         bell_condition(1, 1, 5e-324)  # t_e is about 4/j ns
+
+
+def test_bell_condition_where_four_n_squared_overflows():
+    # 4.0 * n * n was inf here, and so was beta_plus, although the ratio
+    # sqrt(4n^2 - m^2)/(4m), sqrt(3)/4 to 1e-154, and t_e fit a double
+    n, m = 10**154, 10**154 + 1
+    condition = bell_condition(n, m, 25.0)
+    ratio, exact = Fraction(condition.ratio), Fraction(4 * n * n - m * m, 16 * m * m)
+    eps = Fraction(np.finfo(float).eps)
+    assert (1 - 2 * eps) ** 2 * exact <= ratio**2 <= (1 + 2 * eps) ** 2 * exact
+    exact_t_e = 2 * m * Fraction(pi) * Fraction(HBAR_UEV_NS) / 25
+    assert abs(Fraction(condition.t_e) - exact_t_e) <= 6 * eps * exact_t_e
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        (10**400, 1),
+        (10**400, 10**400 + 1),
+        (2**1024 - 1, 1),  # float(n) rounds to 2**1024
+        (2**1023, 1),  # (2n - m)/m rounds to 2**1024
+        (2**1023, 2**1023 + 1),  # 4n does not fit a double, so t_e is inf
+    ],
+    ids=["1e400,1", "1e400,1e400+1", "2^1024-1,1", "2^1023,1", "2^1023,2^1023+1"],
+)
+def test_bell_condition_beyond_the_double_range_raises_numeric_overflow(n, m):
+    # int to float conversion raised a bare OverflowError for all but the fourth
+    with pytest.raises(NumericOverflow):
+        bell_condition(n, m)
 
 
 def test_trajectory_grid_and_contents():

@@ -6,7 +6,8 @@ is most likely to fail: spectral against analytic propagation up to
 sixteen decades of tunneling, the scalar against the batch kernel
 (and numpy's `eigvalsh`) at power-of-two scales either side of the range
 that is solved unscaled, and `bell_condition`'s Bell time against the
-exact 2 m pi hbar / j up to m = 1e9.  The bounds were fixed before the
+exact 2 m pi hbar / j up to m = 1e9, and its ratio against the exact
+sqrt(4n^2 - m^2)/(4m) up to n = 1e300.  The bounds were fixed before the
 strata ran, and the draws are derandomized, so each run sees the same
 inputs.
 """
@@ -18,7 +19,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_linalg import assert_batch_matches_scalar  # noqa: E402
 
@@ -38,6 +39,10 @@ _SPECTRUM_TOL = 32.0 * _EPS
 # the Bell time, and omega_minus * t_e / hbar, may differ from their exact
 # values by this, relative: ten roundings of eps/2 and pi's own
 _BELL_TOL = 6.0 * _EPS
+# the tunneling ratio may differ from its exact value by this, relative: the
+# two quotients, their product and its root, or their two roots and the
+# product of those, each rounded by at most eps/2
+_RATIO_TOL = 2.0 * _EPS
 
 
 # -- analytic vs spectral populations up to MAX_PHASE ---------------------------
@@ -135,3 +140,36 @@ def test_bell_condition_up_to_a_billion_quarter_periods(order):
     assert abs(Fraction(condition.t_e) - exact) <= _BELL_TOL * exact
     x = condition.omega_minus * condition.t_e / HBAR_UEV_NS
     assert abs(Fraction(x) - m * _PI / 2) <= _BELL_TOL * (m * _PI / 2)
+
+
+# -- tunneling ratios against sqrt(4n^2 - m^2)/(4m), n up to 1e300 --------------
+
+
+@st.composite
+def _bell_ratio_orders(draw):
+    """n up to 1e300 over every decade; odd m < 2n next to 2n, anywhere, or small."""
+    n = draw(st.integers(1, 10 ** draw(st.integers(0, 300))))
+    k = draw(
+        st.one_of(
+            st.integers(n - min(n, 4), n - 1),  # m = 2n - 1, 2n - 3, ...
+            st.integers(0, n - 1),
+            st.integers(0, min(n, 10**6) - 1),
+        )
+    )
+    return n, 2 * k + 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_bell_ratio_orders())
+@example((10**3, 2 * 10**3 - 1))  # 4n^2/m^2 - 1 cancelled to 6.4e-15 relative
+@example((10**5, 2 * 10**5 - 1))
+@example((10**7, 2 * 10**7 - 1))
+@example((5 * 10**8, 10**9 - 1))  # ... and to 1.5e-8
+@example((10**300, 1))  # 4n^2/m^2 is past the double range, the ratio is not
+@example((10**300, 2 * 10**300 - 1))
+def test_bell_ratio_up_to_1e300(order):
+    n, m = order
+    ratio = Fraction(bell_condition(n, m).ratio)
+    exact = Fraction(4 * n * n - m * m, 16 * m * m)  # the square of the exact ratio
+    tol = Fraction(_RATIO_TOL)
+    assert (1 - tol) ** 2 * exact <= ratio**2 <= (1 + tol) ** 2 * exact

@@ -1,10 +1,11 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from qmol.entanglement import concurrence, concurrence_pure, spin_flip
-from qmol.errors import InvalidDensityMatrix, NotNormalized, NumericOverflow
+from qmol.errors import InvalidDensityMatrix, NotNormalized, NumericOverflow, QmolError
 from qmol.states import BELL_LABELS, Basis, StateVector, basis_state
 
 
@@ -333,6 +334,22 @@ def test_complex_entry_whose_modulus_overflows_raises_numeric_overflow():
     rho[1, 0] = rho[0, 1].conjugate()
     with pytest.raises(NumericOverflow, match="modulus exceeds the double range"):
         concurrence(rho)
+
+
+def test_residue_whose_modulus_overflows_ends_in_a_typed_error_without_a_warning():
+    # every entry is below 1.5e154, but the factor's first update leaves
+    # -1.5e308 * (1 - 1j) in the residue, whose modulus is not a double
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    rho[1, 0] = 1.5e154
+    rho[2, 0] = 1e154 * (1 - 1j)
+    rho[0, 1], rho[0, 2] = rho[1, 0].conjugate(), rho[2, 0].conjugate()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QmolError) as raised:
+            concurrence(rho)
+    assert not isinstance(raised.value, OverflowError)
+    assert not isinstance(raised.value.__context__, OverflowError)
 
 
 def test_trace_error_reports_numpys_trace():

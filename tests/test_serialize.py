@@ -53,6 +53,11 @@ def test_parse_metadata_stops_at_first_data_line():
     assert parse_metadata(text) == {"a": "1", "b": "2"}
 
 
+def test_parse_metadata_skips_comment_lines_without_a_key():
+    text = "# a = 1\n#\n# note\n# b = 2\nx,y\n"
+    assert parse_metadata(text) == {"a": "1", "b": "2"}
+
+
 def test_metadata_rejects_boolean():
     with pytest.raises(TypeError):
         metadata_lines({"flag": True})

@@ -68,6 +68,11 @@ def test_conversion_is_identity_when_already_there():
     assert np.allclose(chi.amplitudes, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
 
 
+def test_bell_basis_state_converts_to_itself():
+    chi = basis_state("PsiPlus").to_bell()
+    assert chi.to_bell() is chi
+
+
 def test_probabilities_sum_to_one():
     rng = np.random.default_rng(21)
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -1,5 +1,6 @@
-"""The verify battery's pass rule: one comparison of each check's largest
-deviation with the bound of its `CHECKS` row, which a NaN fails."""
+"""The verify battery's pass rule: `run_all` reduces the deviations each
+check yields to the largest |x| and compares it with the bound of its
+`CHECKS` row, which a NaN fails."""
 
 from types import SimpleNamespace
 
@@ -35,16 +36,26 @@ def test_rows_keep_their_names_order_and_bounds():
 
 
 @pytest.mark.parametrize(
-    "worst, passed",
+    "gaps, worst, passed",
     [
-        (float(np.nextafter(1e-10, 0.0)), True),
-        (1e-10, False),
-        (float("inf"), False),
-        (float("nan"), False),
+        ((float(np.nextafter(1e-10, 0.0)),), float(np.nextafter(1e-10, 0.0)), True),
+        ((1e-10,), 1e-10, False),
+        ((float("inf"),), float("inf"), False),
+        ((float("nan"),), float("nan"), False),
+        # one NaN among finite entries
+        ((np.array([1e-12, np.nan, 0.0]), 1e-13), float("nan"), False),
+        # the largest |x| is a negative entry, which the largest x is not
+        ((np.array([5e-11, -1e-10, 0.0]),), 1e-10, False),
+        # Python and numpy scalars and arrays of any shape in one check
+        ((3e-11, np.array([[1e-11, -6e-11], [4e-11, 0.0]]), np.float64(-5e-11), np.zeros(3)),
+         6e-11, True),
     ],
 )
-def test_a_check_passes_only_strictly_below_its_bound(monkeypatch, worst, passed):
-    monkeypatch.setattr(verify, "CHECKS", (("route pair", 1e-10, "gap", lambda: worst),))
+def test_a_check_passes_only_strictly_below_its_bound(monkeypatch, gaps, worst, passed):
+    def check():
+        yield from gaps
+
+    monkeypatch.setattr(verify, "CHECKS", (("route pair", 1e-10, "gap", check),))
     lines = []
     assert verify.run_all(out=lines.append) == passed
     assert lines == [f"{'PASS' if passed else 'FAIL'}  route pair  (max gap {worst:.3e})"]
@@ -83,4 +94,5 @@ def test_a_rerun_that_differs_in_one_bit_fails_the_determinism_row(monkeypatch):
             values=next(runs), degenerate_mask=np.zeros((3, 3), dtype=bool)
         ),
     )
-    assert verify.check_sweep_determinism() == float("inf")
+    gaps = verify.check_sweep_determinism()
+    assert float(np.max([np.abs(g).max() for g in gaps])) == float("inf")
