@@ -10,13 +10,13 @@ where energies are converted to angular frequencies via hbar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, cos, hypot, isfinite, pi, prod, sqrt
+from math import ceil, cos, hypot, isfinite, isqrt, pi, prod, sqrt
 
 import numpy as np
 
 from .entanglement import _concurrence_from_amplitudes
 from .errors import ConvergenceError, InvalidInput, NoRealSolution, NumericOverflow
-from .errors import _checked_array, _checked_float, _checked_int
+from .errors import _checked_array, _checked_float, _checked_int, _shown
 from .hamiltonian import SystemParams, build_positional
 from .linalg import hermitian_eigensolve
 from .spectrum import resonant_solution
@@ -52,16 +52,17 @@ def _check_output_size(what: str, *counts: int) -> None:
     """InvalidInput if `what`, of counts[0] x counts[1] x ... values, exceeds MAX_OUTPUT_VALUES."""
     if prod(counts) > MAX_OUTPUT_VALUES:
         raise InvalidInput(
-            f"{what} of {' x '.join(map(str, counts))} values exceeds the limit "
+            f"{what} of {' x '.join(map(_shown, counts))} values exceeds the limit "
             f"of 2**24 = {MAX_OUTPUT_VALUES} values"
         )
 
 
 #: Largest phase max|E| * t / hbar (rad) that spectral propagation accepts.
 #: Jacobi eigenvalues are off by up to about 2e-15 * max|E| (worst 1.9e-15
-#: on 300 draws from `verify`'s range), so below 1e8 rad each phase is off by
-#: under 2.5e-7 rad, and a population by under twice that: less than the
-#: 5e-7 that would change its sixth printed decimal.
+#: on 300 draws from `verify`'s range) and `_evolve`'s times by up to
+#: 1.5 eps * t, so below 1e8 rad each phase is off by under 2.5e-7 rad, and a
+#: population by under twice that: less than the 5e-7 that would change its
+#: sixth printed decimal.
 MAX_PHASE = 1e8
 
 #: Largest phase |H|_F * dt / hbar (rad) of one `propagate_rk4` step.  RK4's
@@ -96,13 +97,22 @@ def _evolve(energies, vectors, amps0, times) -> np.ndarray:
     `energies` and `vectors` are the eigensystem of the Hamiltonian, as
     `hermitian_eigensolve` or one lane of `symmetric_eigensolve_batch`
     returns it, with vectors[:, k] belonging to energies[k].
+
+    `times` is a uniform grid of n points.  With m = isqrt(n - 1) + 1, row
+    k = b*m + j takes exp(-iE t_bm / hbar) * exp(-iE (t_j - t_0) / hbar), so
+    np.exp sees 4 * (m + ceil(n / m)) arguments, not 4 * n.  On a grid from
+    np.linspace, t_bm + (t_j - t_0) lies within 1.5 ulp(t_max) of t_k, which
+    adds up to 1.5 eps * max|E| * t_k / hbar to each phase (see MAX_PHASE).
     """
     phase = float(np.abs(energies).max()) * float(times.max()) / HBAR_UEV_NS
     _check_phase(phase, "max|E| * t / hbar")
     coeffs = vectors.conj().T @ amps0
-    phases = _phase_arguments(times, energies)
-    np.exp(phases, out=phases)
-    phases *= coeffs
+    n = times.shape[0]
+    m = isqrt(n - 1) + 1
+    offsets = np.exp(_phase_arguments(times[:m] - times[0], energies))
+    offsets *= coeffs
+    anchors = np.exp(_phase_arguments(times[::m], energies))
+    phases = (anchors[:, None] * offsets).reshape(-1, energies.shape[0])[:n]
     return phases @ vectors.T
 
 
@@ -282,17 +292,17 @@ def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
         InvalidInput: if n or m are not positive integers, m is even, or
             j is not positive and finite.
         NoRealSolution: if m >= 2n, where the ratio formula turns imaginary.
-        NumericOverflow: if 4n, m or (2n + m)/m is at or past 2**1024, or
+        NumericOverflow: if n, m or (2n + m)/m is at or past 2**1024, or
             delta1, beta_plus or t_e does not fit a double.
     """
     n = _checked_int(n, "n", 1)
     m = _checked_int(m, "m", 1)
     if m % 2 == 0:
-        raise InvalidInput(f"m must be odd, got {m}")
+        raise InvalidInput(f"m must be odd, got {_shown(m)}")
     j = _checked_float(j, "j", "positive")
     if m >= 2 * n:
         raise NoRealSolution(
-            f"no real tunneling ratio for n={n}, m={m}: requires m < 2n"
+            f"no real tunneling ratio for n={_shown(n)}, m={_shown(m)}: requires m < 2n"
         )
     try:
         below, above, n_float, m_float = (2 * n - m) / m, (2 * n + m) / m, float(n), float(m)
@@ -307,20 +317,22 @@ def bell_condition(n: int, m: int, j: float = 25.0) -> BellCondition:
     omega_plus = beta_plus / 4.0
     omega_minus = beta_minus / 4.0
     # n*pi*hbar/omega_plus and m*pi*hbar/(2*omega_minus), the same bits
-    # where the omegas are normal, but with no division by an underflown one
-    t_e = 4.0 * n_float * pi * HBAR_UEV_NS / beta_plus
+    # where the omegas are normal, but with no division by an underflown one,
+    # and with n and m scaled by a power of two (exact) so that 4n pi fits
+    scale = 2.0 ** max(0, n.bit_length() - 1000)
+    t_e = 4.0 * (n_float / scale) * pi * HBAR_UEV_NS / beta_plus * scale
     if not (isfinite(beta_plus) and isfinite(t_e)):  # delta1 = inf makes beta_plus inf
         raise NumericOverflow(
-            f"the Bell condition for n = {n}, m = {m}, j = {j!r} does not fit a "
+            f"the Bell condition for n = {_shown(n)}, m = {_shown(m)}, j = {j!r} does not fit a "
             f"double: beta_plus = {beta_plus!r} ueV, t_e = {t_e!r} ns"
         )
-    t_e_check = 2.0 * m_float * pi * HBAR_UEV_NS / beta_minus
+    t_e_check = 2.0 * (m_float / scale) * pi * HBAR_UEV_NS / beta_minus * scale
     if not abs(t_e - t_e_check) <= 1e-12 * t_e:
         raise ConvergenceError(
             f"inconsistent Bell time: {t_e!r} vs {t_e_check!r}"
         )
-    x = omega_minus * t_e / HBAR_UEV_NS
-    if not abs(cos(x)) <= _CROSSING_TOL + _CROSSING_C * 2.0**-52 * x:
+    x = omega_minus * t_e / HBAR_UEV_NS  # up to inf; past 1e15 any cosine passes
+    if not abs(cos(min(x, 1e300))) <= _CROSSING_TOL + _CROSSING_C * 2.0**-52 * x:
         raise ConvergenceError("minus-block quarter-period check failed at t_e")
     return BellCondition(
         n=n,

@@ -1,7 +1,7 @@
 """Exception types raised by the public API, and the rules for scalar and array inputs."""
 
 import operator
-from math import isfinite, nan
+from math import isfinite, log10, nan
 from numbers import Real
 
 import numpy as np
@@ -60,6 +60,19 @@ class ConfigError(InvalidInput):
     """Command-line or config-file input could not be turned into a run."""
 
 
+def _shown(value) -> str:
+    """repr(value), or the length of an int past Python's int-to-str digit limit."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits(), 4300 by default
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} too long to print"
+    a = abs(value)
+    digits = int(log10(a)) + 1  # within one of the count
+    digits += (a >= 10**digits) - (a < 10 ** (digits - 1))
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
 def _checked_int(value, name: str, lo: int, hi: int | None = None) -> int:
     """value as a Python int; InvalidInput unless an integer (no bool) in [lo, hi]."""
     try:
@@ -68,7 +81,7 @@ def _checked_int(value, name: str, lo: int, hi: int | None = None) -> int:
         n = None
     if n is None or isinstance(value, bool) or n < lo or (hi is not None and n > hi):
         bound = f"an integer >= {lo}" if hi is None else f"{lo}..{hi}"
-        raise InvalidInput(f"{name} must be {bound}, got {value!r}")
+        raise InvalidInput(f"{name} must be {bound}, got {_shown(value)}")
     return n
 
 
@@ -84,7 +97,7 @@ def _checked_float(value, name: str, bound: str = "") -> float:
     below = {"": False, "positive": x <= 0.0, "nonnegative": x < 0.0}[bound]
     if below or not isfinite(x):
         must = f"{bound} and finite" if bound else "finite"
-        raise InvalidInput(f"{name} must be {must}, got {value!r}")
+        raise InvalidInput(f"{name} must be {must}, got {_shown(value)}")
     return x
 
 

@@ -3,8 +3,10 @@
 Every public call that takes an energy, a time, a ratio, a tolerance or an
 axis endpoint must end in a result or a QmolError, without a warning,
 whatever scalar it is given: strings, bools, complex numbers, None, NaN,
-infinities, integers beyond the double range, -0.0 and subnormals among
-them.  A numpy scalar must give the bytes of the equal Python float.
+infinities, integers beyond the double range and past the digits Python
+prints, -0.0 and subnormals among them.  A numpy scalar must give the
+bytes of the equal Python float.  Every step count, state index, sign and
+Bell order must do the same whatever integer it is given, up to 5 001 digits.
 Every call that takes an array (amplitudes, 4x4 matrices, stacks, times,
 map values and masks) or an initial state must do the same whatever array
 it is given: wrong sizes and ranks, bools, strings, objects, None entries,
@@ -80,7 +82,7 @@ _CALLS = {
 
 _HOSTILE = (
     "1", "nan", "", True, False, 1j, 1 + 0j, None, float("nan"), float("inf"),
-    -float("inf"), 10**400, -(10**400), -0.0, 5e-324, -5e-324,
+    -float("inf"), 10**400, -(10**400), 10**5000, -(10**5000), -0.0, 5e-324, -5e-324,
 )
 _ORDINARY = (0.0, 0.5, 1.0, 3, 25.0, -2.0, 1e-300, 1e300)
 # values float32 holds without an overflow warning
@@ -133,6 +135,53 @@ def test_float_parameters_end_in_a_result_or_a_qmol_error(call):
     if any(isinstance(a, np.generic) for a in args):
         python = [float(a) if isinstance(a, np.generic) else a for a in args]
         assert _outcome(name, python) == outcome, (name, args)
+
+
+#: Each entry point, as a function of one of its integer parameters.
+_INT_CALLS = {
+    "trajectory steps": lambda n: trajectory(_P, _PSI, 0.5, n),
+    "Axis count": lambda n: Axis("x", 0.0, 1.0, n, ""),
+    "eigen_concurrence_map state_index": lambda n: eigen_concurrence_map(_P, n, eps_steps=3),
+    "eigen_concurrence_map eps_steps": lambda n: eigen_concurrence_map(_P, 1, eps_steps=n),
+    "dynamics_tunneling_map t_steps": lambda n: dynamics_tunneling_map(
+        SystemParams(), 0.5, n, 0.0, 1.0, 3, _PSI
+    ),
+    "dynamics_tunneling_map ratio_steps": lambda n: dynamics_tunneling_map(
+        SystemParams(), 0.5, 3, 0.0, 1.0, n, _PSI
+    ),
+    "dynamics_detuning_map t_steps": lambda n: dynamics_detuning_map(
+        _P, 0.5, n, -1.0, 1.0, 3, _PSI, 1
+    ),
+    "dynamics_detuning_map eps_steps": lambda n: dynamics_detuning_map(
+        _P, 0.5, 3, -1.0, 1.0, n, _PSI, 1
+    ),
+    "dynamics_detuning_map sign": lambda n: dynamics_detuning_map(
+        _P, 0.5, 3, -1.0, 1.0, 3, _PSI, n
+    ),
+    "bell_condition n": lambda n: bell_condition(n, 1),
+    "bell_condition m": lambda m: bell_condition(2, m),
+    "bell_condition n = m": lambda n: bell_condition(n, n),
+}
+#: Integers at and past the double range, and past the digits Python prints.
+_HUGE_INTS = [
+    s * (2**k + d) for s in (1, -1) for k in range(1020, 1025) for d in (-1, 0, 1)
+] + [10**4300, 10**5000, -(10**5000), 10**5000 + 1, -(10**5000 + 1)]
+_int = st.one_of(
+    st.sampled_from((-2, -1, 0, 1, 2, 3, 5)),
+    st.sampled_from([np.int64(v) for v in (-1, 0, 1, 3)]),
+    st.sampled_from(_HUGE_INTS),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_INT_CALLS)), _int)
+def test_integer_parameters_end_in_a_result_or_a_qmol_error(name, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            _INT_CALLS[name](value)
+        except QmolError:
+            pass
 
 
 _AXIS = Axis("x", 0.0, 1.0, 3, "")

@@ -1,6 +1,6 @@
 import warnings
 from fractions import Fraction
-from math import ceil, pi
+from math import ceil, isqrt, pi
 
 import numpy as np
 import pytest
@@ -442,20 +442,37 @@ def test_bell_condition_where_four_n_squared_overflows():
 
 
 @pytest.mark.parametrize(
-    "n, m",
+    "n, m, j",
     [
-        (10**400, 1),
-        (10**400, 10**400 + 1),
-        (2**1024 - 1, 1),  # float(n) rounds to 2**1024
-        (2**1023, 1),  # (2n - m)/m rounds to 2**1024
-        (2**1023, 2**1023 + 1),  # 4n does not fit a double, so t_e is inf
+        (2**1021, 2**1021 + 1, 1e300),  # t_e is about 9.3e7 ns
+        (2**1023, 2**1023 + 1, 25.0),  # t_e is about 1.5e307 ns
+        (2**1023, 3 * 2**1022 + 1, 1e300),  # omega_minus * t_e / hbar is inf
+    ],
+    ids=["2^1021,2^1021+1", "2^1023,2^1023+1", "2^1023,3*2^1022+1"],
+)
+def test_bell_condition_where_four_n_pi_overflows(n, m, j):
+    # 4.0 * n * pi was inf here, and so was t_e, which fits a double
+    condition = bell_condition(n, m, j)
+    exact_t_e = 2 * m * Fraction(pi) * Fraction(HBAR_UEV_NS) / Fraction(j)
+    eps = Fraction(np.finfo(float).eps)
+    assert abs(Fraction(condition.t_e) - exact_t_e) <= 7 * eps * exact_t_e
+
+
+@pytest.mark.parametrize(
+    "n, m, j",
+    [
+        (10**400, 1, 25.0),
+        (10**400, 10**400 + 1, 25.0),
+        (2**1024 - 1, 1, 25.0),  # float(n) rounds to 2**1024
+        (2**1023, 1, 25.0),  # (2n - m)/m rounds to 2**1024
+        (2**1023, 2**1023 + 1, 1.0),  # t_e = 2 m pi hbar / j is about 3.7e308 ns
     ],
     ids=["1e400,1", "1e400,1e400+1", "2^1024-1,1", "2^1023,1", "2^1023,2^1023+1"],
 )
-def test_bell_condition_beyond_the_double_range_raises_numeric_overflow(n, m):
-    # int to float conversion raised a bare OverflowError for all but the fourth
+def test_bell_condition_beyond_the_double_range_raises_numeric_overflow(n, m, j):
+    # int to float conversion raised a bare OverflowError for all but the last two
     with pytest.raises(NumericOverflow):
-        bell_condition(n, m)
+        bell_condition(n, m, j)
 
 
 def test_trajectory_grid_and_contents():
@@ -543,9 +560,58 @@ def test_evolution_matches_the_complex_expression():
         amps0 = random_state(rng).amplitudes
         times = np.linspace(0.0, float(rng.uniform(0.1, 10.0)), 501)
         coeffs = dec.vectors.conj().T @ amps0
+        # anchors at every 23rd time, offsets from t_0 for the 23 between
+        offsets = np.exp(-1j * np.outer(times[:23] - times[0], dec.values) / HBAR_UEV_NS)
+        offsets *= coeffs
+        anchors = np.exp(-1j * np.outer(times[::23], dec.values) / HBAR_UEV_NS)
+        phases = (anchors[:, None] * offsets).reshape(-1, 4)[:501]
+        expected = phases @ dec.vectors.T
+        assert _evolve(dec.values, dec.vectors, amps0, times).tobytes() == expected.tobytes()
+
+
+GRID_SIZES = [1, 2, 3, 15, 16, 17, 2001, 20001]
+
+
+@pytest.mark.parametrize("n", GRID_SIZES)
+def test_evolution_stays_within_eps_of_one_exp_per_time(n):
+    # against the direct n x 4 exp: time t_bm + (t_j - t_0) within 1.5 ulp
+    # of t_k and four roundings of each phase give about 3 eps * phase, the
+    # products a few eps; c fixed at 4 (amplitudes) and 8 (populations)
+    rng = np.random.default_rng([1402, n])
+    eps = np.finfo(float).eps
+    for draw in range(12):
+        dec = hermitian_eigensolve(build_positional(random_params(rng)))
+        amps0 = random_state(rng).amplitudes
+        top = MAX_PHASE * (1 - 1e-12) if draw < 2 else 10.0 ** rng.uniform(-3.0, 8.0)
+        e_max = float(np.abs(dec.values).max())
+        t_max = top * HBAR_UEV_NS / e_max
+        times = np.linspace(0.0, t_max, n) if n > 1 else np.array([t_max])
+        coeffs = dec.vectors.conj().T @ amps0
         phases = np.exp(-1j * np.outer(times, dec.values) / HBAR_UEV_NS)
         expected = (phases * coeffs) @ dec.vectors.T
-        assert _evolve(dec.values, dec.vectors, amps0, times).tobytes() == expected.tobytes()
+        amps = _evolve(dec.values, dec.vectors, amps0, times)
+        scale = eps * (1.0 + e_max * times / HBAR_UEV_NS)[:, None]
+        assert (np.abs(amps - expected) <= 4.0 * scale).all()
+        assert (np.abs(np.abs(amps) ** 2 - np.abs(expected) ** 2) <= 8.0 * scale).all()
+
+
+@pytest.mark.parametrize("n", GRID_SIZES)
+def test_evolution_exponentiates_about_two_sqrt_n_arguments(monkeypatch, n):
+    sizes = []
+
+    def counted(times, energies):
+        out = _phase_arguments(times, energies)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(qmol.dynamics, "_phase_arguments", counted)
+    p, psi = SystemParams(delta1=3.0, delta2=1.0), basis_state("RL")
+    if n == 1:
+        propagate(p, psi, 0.7)
+    else:
+        trajectory(p, psi, 0.7, n)
+    m = isqrt(n - 1) + 1
+    assert sum(sizes) <= 4 * (m + ceil(n / m))
 
 
 def test_normalization_check_rejects_non_unitary_vectors():

@@ -6,10 +6,10 @@ is most likely to fail: spectral against analytic propagation up to
 sixteen decades of tunneling, the scalar against the batch kernel
 (and numpy's `eigvalsh`) at power-of-two scales either side of the range
 that is solved unscaled, and `bell_condition`'s Bell time against the
-exact 2 m pi hbar / j up to m = 1e9, and its ratio against the exact
-sqrt(4n^2 - m^2)/(4m) up to n = 1e300.  The bounds were fixed before the
-strata ran, and the draws are derandomized, so each run sees the same
-inputs.
+exact 2 m pi hbar / j up to m = 1e9 and for n from 2**1019 to 2**1023, and
+its ratio against the exact sqrt(4n^2 - m^2)/(4m) up to n = 1e300.  The
+bounds were fixed before the strata ran, and the draws are derandomized,
+so each run sees the same inputs.
 """
 
 from fractions import Fraction
@@ -43,6 +43,9 @@ _BELL_TOL = 6.0 * _EPS
 # two quotients, their product and its root, or their two roots and the
 # product of those, each rounded by at most eps/2
 _RATIO_TOL = 2.0 * _EPS
+# the Bell time for n from 2**1019 may differ from its exact value by this,
+# relative: _BELL_TOL and the rounding of n itself to a double
+_HUGE_BELL_TOL = 7.0 * _EPS
 
 
 # -- analytic vs spectral populations up to MAX_PHASE ---------------------------
@@ -140,6 +143,31 @@ def test_bell_condition_up_to_a_billion_quarter_periods(order):
     assert abs(Fraction(condition.t_e) - exact) <= _BELL_TOL * exact
     x = condition.omega_minus * condition.t_e / HBAR_UEV_NS
     assert abs(Fraction(x) - m * _PI / 2) <= _BELL_TOL * (m * _PI / 2)
+
+
+@st.composite
+def _huge_bell_orders(draw):
+    """n from 2**1019 to 2**1023; odd m < 2n next to 2n, anywhere, or small.
+
+    m stays below the 2**1024 - 2**970 that rounds to 2**1024, and
+    j = m * 10**u keeps beta_plus = 2 n j / m and t_e = 2 m pi hbar / j
+    inside the double range.
+    """
+    n = draw(st.integers(2**1019, 2**1023))
+    top = min(n, 2**1023 - 2**970)  # k < top
+    k = draw(
+        st.one_of(st.integers(top - 4, top - 1), st.integers(0, top - 1), st.integers(0, 10**6))
+    )
+    return n, 2 * k + 1, float(2 * k + 1) * 10.0 ** draw(st.floats(-299.0, -9.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_huge_bell_orders())
+def test_bell_time_for_n_up_to_2_to_the_1023(order):
+    n, m, j = order
+    condition = bell_condition(n, m, j)
+    exact = 2 * m * _PI * Fraction(HBAR_UEV_NS) / Fraction(j)
+    assert abs(Fraction(condition.t_e) - exact) <= _HUGE_BELL_TOL * exact
 
 
 # -- tunneling ratios against sqrt(4n^2 - m^2)/(4m), n up to 1e300 --------------

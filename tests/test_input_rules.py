@@ -13,6 +13,7 @@ error, and an initial state that is no StateVector raises InvalidInput.
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from qmol.entanglement import concurrence, concurrence_pure, spin_flip
 from qmol.errors import (
     InvalidDensityMatrix,
     InvalidInput,
+    NoRealSolution,
     NonHermitianInput,
     NotNormalized,
     NumericOverflow,
@@ -165,6 +167,36 @@ def test_the_float_rule_names_the_parameter_and_the_value(call, message):
     with pytest.raises(InvalidInput) as info:
         call()
     assert str(info.value) == message
+
+
+_BIG = 10**5000  # past the 4300 digits Python prints of an int by default
+
+
+@pytest.mark.parametrize(
+    "call, error, shown",
+    [
+        (lambda: trajectory(_TUNNELED, _PSI, 1.0, _BIG), InvalidInput, "an integer of 5001"),
+        (lambda: eigen_concurrence_map(_TUNNELED, 1, eps_steps=_BIG), InvalidInput, "digits x"),
+        (lambda: eigen_concurrence_map(_TUNNELED, _BIG), InvalidInput, "an integer of 5001"),
+        (lambda: bell_condition(-_BIG, 1), InvalidInput, "a negative integer of 5001"),
+        (lambda: bell_condition(1, _BIG + 1), NoRealSolution, "m=an integer of 5001"),
+        (lambda: bell_condition(1, _BIG), InvalidInput, "m must be odd, got an integer of 5001"),
+        (lambda: SystemParams(j=_BIG), InvalidInput, "finite, got an integer of 5001 digits"),
+        (lambda: SystemParams(j=-_BIG), InvalidInput, "got a negative integer of 5001"),
+        (lambda: propagate(_TUNNELED, _PSI, _BIG), InvalidInput, "an integer of 5001"),
+        (lambda: propagate(_TUNNELED, _PSI, Fraction(_BIG, 3)), InvalidInput, "Fraction too long"),
+        (
+            lambda: dynamics_detuning_map(_TUNNELED, 1.0, 3, -1.0, 1.0, -_BIG, _PSI, 1),
+            InvalidInput,
+            "eps1' count must be an integer >= 2, got a negative integer of 5001 digits",
+        ),
+    ],
+)
+def test_integers_python_does_not_print_end_in_the_typed_error(call, error, shown):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert shown in str(info.value)
 
 
 @pytest.mark.parametrize("sign", [True, 1.0, np.float64(-1.0), 0, 2])
