@@ -55,7 +55,7 @@ from .serialize import (
 )
 from .spectrum import eigensystem
 from .states import BELL_DISPLAY, basis_state, canonical_label
-from .sweep import dynamics_detuning_map, dynamics_tunneling_map, eigen_concurrence_map
+from .sweep import SweepGrid, dynamics_detuning_map, dynamics_tunneling_map, eigen_concurrence_map
 from .verify import run_all
 
 __all__ = ["RunConfig", "main", "build_config", "config_from_metadata"]
@@ -97,7 +97,7 @@ def _int(text: str) -> int:
 
 
 def _kind(text: str) -> str:
-    # checked here, not where it is used: render_sweep runs every
+    # checked here, not where it is used: _sweep_grid runs every
     # unknown kind as detuning-dynamics
     if text not in SWEEP_KINDS:
         raise ConfigError(
@@ -279,20 +279,23 @@ def render_dynamics(config: RunConfig) -> bytes:
 
 
 def render_sweep(config: RunConfig) -> tuple[bytes, bytes]:
+    grid = _sweep_grid(config)
+    return sweep_csv_bytes(grid, _metadata(config)), pgm_bytes(grid.values)
+
+
+def _sweep_grid(config: RunConfig) -> SweepGrid:
     lo, hi, count = _resolved_grid(config)
     if config.kind == "eigen":
-        grid = eigen_concurrence_map(config.params, config.state, lo, hi, count)
-    elif config.kind == "tunneling-dynamics":
-        grid = dynamics_tunneling_map(
+        return eigen_concurrence_map(config.params, config.state, lo, hi, count)
+    if config.kind == "tunneling-dynamics":
+        return dynamics_tunneling_map(
             config.params, config.tmax, config.steps, lo, hi, count,
             basis_state(config.init),
         )
-    else:
-        grid = dynamics_detuning_map(
-            config.params, config.tmax, config.steps, lo, hi, count,
-            basis_state(config.init), config.sign,
-        )
-    return sweep_csv_bytes(grid, _metadata(config)), pgm_bytes(grid.values)
+    return dynamics_detuning_map(
+        config.params, config.tmax, config.steps, lo, hi, count,
+        basis_state(config.init), config.sign,
+    )
 
 
 def render_bell_times(config: RunConfig) -> bytes:
@@ -319,8 +322,10 @@ def _outputs(config: RunConfig) -> list[tuple[bytes, str | None]]:
     if config.command == "dynamics":
         return [(render_dynamics(config), config.out)]
     if config.command == "sweep":
-        csv_data, pgm_data = render_sweep(config)
-        return [(csv_data, config.out)] + ([(pgm_data, config.pgm)] if config.pgm else [])
+        # the PGM only when asked: rendering one takes a map-sized temporary
+        grid = _sweep_grid(config)
+        csv_out = [(sweep_csv_bytes(grid, _metadata(config)), config.out)]
+        return csv_out + ([(pgm_bytes(grid.values), config.pgm)] if config.pgm else [])
     return [(render_bell_times(config), None)]
 
 

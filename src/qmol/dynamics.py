@@ -14,7 +14,6 @@ from math import ceil, cos, hypot, isfinite, isqrt, pi, prod, sqrt
 
 import numpy as np
 
-from .entanglement import _concurrence_from_amplitudes
 from .errors import ConvergenceError, InvalidInput, NoRealSolution, NumericOverflow
 from .errors import _checked_array, _checked_float, _checked_int, _shown
 from .hamiltonian import SystemParams, build_positional
@@ -34,6 +33,12 @@ __all__ = [
 ]
 
 _POP_SUM_TOL = 1e-10
+#: Map rows check |V^H V - I|_max and ||c|^2 - 1| against this, which
+#: bounds their populations' sums as _POP_SUM_TOL does (see `_concurrence_rows`).
+_UNITARY_TOL = 2e-11
+#: The ten pairs k <= l of eigenstates, and each pair's weight in a^T Y a.
+_PAIR_K, _PAIR_L = np.triu_indices(4)
+_PAIR_WEIGHTS = np.where(_PAIR_K == _PAIR_L, 1.0, 2.0)
 #: |cos(omega_minus * t_e / hbar)| must be at most 1e-9 + _CROSSING_C * eps * x
 #: at the Bell time, x being that argument, m*pi/2 in exact arithmetic.
 #: The ten roundings from n, m and j to x, each up to eps/2, and pi's own
@@ -59,10 +64,14 @@ def _check_output_size(what: str, *counts: int) -> None:
 
 #: Largest phase max|E| * t / hbar (rad) that spectral propagation accepts.
 #: Jacobi eigenvalues are off by up to about 2e-15 * max|E| (worst 1.9e-15
-#: on 300 draws from `verify`'s range) and `_evolve`'s times by up to
+#: on 300 draws from `verify`'s range) and `_phase_tables`' times by up to
 #: 1.5 eps * t, so below 1e8 rad each phase is off by under 2.5e-7 rad, and a
 #: population by under twice that: less than the 5e-7 that would change its
-#: sixth printed decimal.
+#: sixth printed decimal.  A pair phase of `_pair_concurrence` is the product
+#: of two table entries, so its error is the sum of theirs, under 5e-7 rad,
+#: as in the product a_LL * a_RR of two amplitudes.  The moduli of the ten
+#: terms sum to at most |c|^T |V^T Y V| |c| <= |V^T Y V|_F = 2, so a
+#: concurrence is off by under 1e-6 near this limit.
 MAX_PHASE = 1e8
 
 #: Largest phase |H|_F * dt / hbar (rad) of one `propagate_rk4` step.  RK4's
@@ -96,28 +105,99 @@ def _evolve(energies, vectors, amps0, times) -> np.ndarray:
 
     `energies` and `vectors` are the eigensystem of the Hamiltonian, as
     `hermitian_eigensolve` or one lane of `symmetric_eigensolve_batch`
-    returns it, with vectors[:, k] belonging to energies[k].
+    returns it, with vectors[:, k] belonging to energies[k]; `times` is a
+    uniform grid (see `_phase_tables`).
+    """
+    tables = _phase_tables(energies, vectors.conj().T @ amps0, times)
+    return _amplitudes(vectors, *tables, times.shape[0])
 
-    `times` is a uniform grid of n points.  With m = isqrt(n - 1) + 1, row
-    k = b*m + j takes exp(-iE t_bm / hbar) * exp(-iE (t_j - t_0) / hbar), so
-    np.exp sees 4 * (m + ceil(n / m)) arguments, not 4 * n.  On a grid from
-    np.linspace, t_bm + (t_j - t_0) lies within 1.5 ulp(t_max) of t_k, which
-    adds up to 1.5 eps * max|E| * t_k / hbar to each phase (see MAX_PHASE).
+
+def _phase_tables(energies, coeffs, times) -> tuple[np.ndarray, np.ndarray]:
+    """The anchor and offset tables of the phase factors exp(-iE t / hbar) * coeffs.
+
+    `energies` and `coeffs` are (..., 4), one eigensystem or a stack of
+    them, and `times` is a uniform grid of n points.  With
+    m = isqrt(n - 1) + 1, the anchors (..., ceil(n / m), 4) hold
+    exp(-iE t_bm / hbar) and the offsets (..., m, 4) hold
+    exp(-iE (t_j - t_0) / hbar) * coeffs, so that time k = b*m + j takes
+    anchors[..., b, :] * offsets[..., j, :], and np.exp sees
+    4 * (m + ceil(n / m)) arguments per eigensystem, not 4 * n.  On a grid
+    from np.linspace, t_bm + (t_j - t_0) lies within 1.5 ulp(t_max) of t_k,
+    which adds up to 1.5 eps * max|E| * t_k / hbar to each phase (see
+    MAX_PHASE).
     """
     phase = float(np.abs(energies).max()) * float(times.max()) / HBAR_UEV_NS
     _check_phase(phase, "max|E| * t / hbar")
-    coeffs = vectors.conj().T @ amps0
-    n = times.shape[0]
-    m = isqrt(n - 1) + 1
+    m = isqrt(times.shape[0] - 1) + 1
     offsets = np.exp(_phase_arguments(times[:m] - times[0], energies))
-    offsets *= coeffs
+    offsets *= coeffs[..., None, :]
     anchors = np.exp(_phase_arguments(times[::m], energies))
-    phases = (anchors[:, None] * offsets).reshape(-1, energies.shape[0])[:n]
+    return anchors, offsets
+
+
+def _amplitudes(vectors, anchors, offsets, n: int) -> np.ndarray:
+    """The (n, 4) amplitudes from one eigensystem's `_phase_tables`."""
+    phases = (anchors[:, None] * offsets).reshape(-1, vectors.shape[0])[:n]
     return phases @ vectors.T
+
+
+def _pair_concurrence(vectors, anchors, offsets, n: int) -> np.ndarray:
+    """Concurrence at the n times of `_phase_tables`, clipped to [0, 1], without amplitudes.
+
+    For one eigensystem or a stack of them: vectors (..., 4, 4) and the
+    tables of their energies; returns (..., n).  A pure state a has
+    C = |a^T Y a| with Y = sigma_y (x) sigma_y (Hill and Wootters, PRL 78,
+    5022, 1997), which is 2|a_LL a_RR - a_LR a_RL|.  With a(t) = V phi(t)
+    and phi_k = exp(-iE_k t / hbar) c_k, a^T Y a is the sum over the ten
+    pairs k <= l of w_kl (V^T Y V)_kl phi_k phi_l, w being 1 for k = l and
+    2 otherwise.  Each pair's table is the product of its two columns, so
+    no E_k + E_l is formed (it can overflow where E_k * t cannot), and
+    g_kl = w_kl (V^T Y V)_kl is folded into the offsets: C at time b*m + j
+    is |(pair anchors @ pair offsets^T)[b, j]|, one (ceil(n/m) x 10) @
+    (10 x m) product per eigensystem.  Each eigensystem's arithmetic is the
+    same alone or in a stack, so a stacked row has the bits of its own
+    evaluation.
+    """
+    vk, vl = vectors[..., _PAIR_K], vectors[..., _PAIR_L]
+    # (V^T Y V)_kl; Y is the reversal of the basis with signs (-1, 1, 1, -1)
+    g = vk[..., 1, :] * vl[..., 2, :] + vk[..., 2, :] * vl[..., 1, :]
+    g -= vk[..., 0, :] * vl[..., 3, :] + vk[..., 3, :] * vl[..., 0, :]
+    g *= _PAIR_WEIGHTS
+    pair_offsets = offsets[..., _PAIR_K] * offsets[..., _PAIR_L]
+    pair_offsets *= g[..., None, :]
+    pair_anchors = anchors[..., _PAIR_K] * anchors[..., _PAIR_L]
+    overlap = pair_anchors @ pair_offsets.swapaxes(-1, -2)  # a^T Y a
+    value = np.abs(overlap.reshape(*overlap.shape[:-2], -1)[..., :n])
+    return np.clip(value, 0.0, 1.0, out=value)
+
+
+def _concurrence_rows(energies, vectors, amps0, times) -> np.ndarray:
+    """Concurrence (..., n) of amps0 evolved by a stack of eigensystems, with no amplitudes.
+
+    The map rows' route: energies (..., 4) and vectors (..., 4, 4) as
+    `symmetric_eigensolve_batch` returns them, evaluated by
+    `_pair_concurrence` on `_phase_tables`, which checks the phase.
+    No amplitudes are formed, so the populations check of `Trajectory`
+    becomes |V^H V - I|_max <= _UNITARY_TOL and ||c|^2 - 1| <= _UNITARY_TOL
+    for the coefficients c = V^H amps0; together they bound
+    ||a(t)|^2 - 1| by 4 tol (1 + tol) + tol = 1e-10 + 1.6e-21 at every t.
+    """
+    adjoint = vectors.conj().swapaxes(-1, -2)
+    coeffs = adjoint @ amps0
+    tables = _phase_tables(energies, coeffs, times)
+    gram = np.abs(adjoint @ vectors - np.eye(4)).max()
+    norms = np.abs((coeffs * coeffs.conj()).real.sum(axis=-1) - 1.0).max()
+    # written so that NaN fails it
+    if not (gram <= _UNITARY_TOL and norms <= _UNITARY_TOL):
+        raise ConvergenceError("propagation lost normalization beyond 1e-10")
+    return _pair_concurrence(vectors, *tables, times.shape[0])
 
 
 def _phase_arguments(times, energies) -> np.ndarray:
     """The bits of -1j * np.outer(times, energies) / HBAR_UEV_NS, in real arithmetic.
+
+    For a stack of energies (..., 4) the result is (..., len(times), 4),
+    each entry with the bits of that outer product.
 
     numpy's complex product with -1j gives the real part +0.0 and the
     imaginary part -(t * E) = t * -E, and its complex quotient by a real
@@ -125,9 +205,10 @@ def _phase_arguments(times, energies) -> np.ndarray:
     +0.0; so only the imaginary parts are computed, with one real multiply
     of the outer product and one scaling.
     """
-    phases = np.zeros((times.shape[0], energies.shape[0]), dtype=complex)
+    shape = (*energies.shape[:-1], times.shape[0], energies.shape[-1])
+    phases = np.zeros(shape, dtype=complex)
     imag = phases.imag
-    np.multiply.outer(times, -energies, out=imag)
+    np.multiply(times[:, None], -energies[..., None, :], out=imag)
     imag *= 1.0 / HBAR_UEV_NS
     return phases
 
@@ -357,7 +438,10 @@ class Trajectory:
         amplitudes: complex (len(times), 4) positional amplitudes.
         populations: real (len(times), 4) squared moduli, columns ordered
             (P_LL, P_LR, P_RL, P_RR); rows sum to 1 within 1e-10.
-        concurrence: real (len(times),) pure-state concurrence.
+        concurrence: real (len(times),) pure-state concurrence, taken from
+            the phase factors without the amplitudes (as each row of a
+            dynamics map is) and within 1e-14 of the stored amplitudes'
+            concurrence.
     """
 
     times: np.ndarray
@@ -404,11 +488,16 @@ def trajectory(
 
 
 def _sampled(energies, vectors, amps0, times) -> Trajectory:
-    """The Trajectory from amplitudes amps0 at `times`; see `_evolve`."""
-    amps = _evolve(energies, vectors, amps0, times)
+    """The Trajectory from amplitudes amps0 at `times`; see `_evolve`.
+
+    Amplitudes and concurrence share one `_phase_tables`.
+    """
+    tables = _phase_tables(energies, vectors.conj().T @ amps0, times)
+    n = times.shape[0]
+    amps = _amplitudes(vectors, *tables, n)
     return Trajectory(
         times=times,
         amplitudes=amps,
         populations=np.abs(amps) ** 2,
-        concurrence=_concurrence_from_amplitudes(amps),
+        concurrence=_pair_concurrence(vectors, *tables, n),
     )

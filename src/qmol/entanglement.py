@@ -172,7 +172,7 @@ def concurrence_pure(psi: StateVector | np.ndarray) -> float:
 def _concurrence_from_amplitudes(amps: np.ndarray) -> np.ndarray:
     """Concurrence 2|c_LL*c_RR - c_LR*c_RL|, clipped to [0, 1], over the last axis.
 
-    The array form behind trajectories and eigen maps: amps holds
+    The array form behind eigen maps: amps holds
     positional-basis amplitudes along its last axis (length 4), and their
     normalization is the caller's to guarantee.
     """

@@ -16,7 +16,7 @@ from math import isfinite
 
 import numpy as np
 
-from .dynamics import _check_output_size, _positional, _sampled
+from .dynamics import _check_output_size, _concurrence_rows, _positional
 from .entanglement import _concurrence_from_amplitudes
 from .errors import InvalidInput, NotResonant, QmolError
 from .errors import _checked_array, _checked_float, _checked_int
@@ -40,6 +40,9 @@ __all__ = [
 #: batched solver at once, so the solver's working memory does not grow
 #: with the grid.
 _BLOCK_CELLS = 4096
+#: Most rows x times a dynamics map evaluates at once, so that its
+#: temporaries do not grow with the block.
+_SLICE_POINTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -216,22 +219,28 @@ def _dynamics_map(x_axis: Axis, y_axis: Axis, psi0: StateVector, couplings) -> S
     `couplings(ys)` gives the (eps1, eps2, delta1, delta2, j) of the rows
     at the y values ys, as arrays or scalars, and raises InvalidInput
     where one is not finite.  Rows are solved in blocks by
-    `symmetric_eigensolve_batch` and evolved one at a time by
-    `dynamics._sampled`, with the phase and normalization checks of
-    `trajectory`; each row equals `trajectory(...).concurrence` for its
-    parameters, bit for bit.  A block that fails is solved again row by
-    row, so the error raised is that of its first failing row.
+    `symmetric_eigensolve_batch` and evaluated in slices of at most
+    `_SLICE_POINTS` values by `dynamics._concurrence_rows`, which forms no
+    amplitudes but keeps `trajectory`'s phase check and bounds the
+    normalization as its populations check does; each row equals
+    `trajectory(...).concurrence` for its parameters, bit for bit.  A
+    block that fails is solved again row by row, so the error raised is
+    that of its first failing row.
     """
     _check_output_size("a map", y_axis.count, x_axis.count)
     times, ys = x_axis.values, y_axis.values
     amps0 = _positional(psi0)
     values = np.empty((y_axis.count, x_axis.count))
+    step = max(1, _SLICE_POINTS // x_axis.count)
 
     def solve(rows: range) -> None:
         h = _positional_matrices(*couplings(ys[rows.start : rows.stop]))
         energies, vectors, _ = symmetric_eigensolve_batch(h)
-        for k, iy in enumerate(rows):
-            values[iy] = _sampled(energies[k], vectors[k], amps0, times).concurrence
+        for lo in range(0, len(rows), step):
+            hi = min(lo + step, len(rows))
+            values[rows.start + lo : rows.start + hi] = _concurrence_rows(
+                energies[lo:hi], vectors[lo:hi], amps0, times
+            )
 
     for start in range(0, y_axis.count, _BLOCK_CELLS):
         rows = range(start, min(start + _BLOCK_CELLS, y_axis.count))

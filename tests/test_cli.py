@@ -22,7 +22,7 @@ from qmol.cli import (
 )
 from qmol.errors import ConfigError
 from qmol.hamiltonian import SystemParams
-from qmol.serialize import parse_metadata
+from qmol.serialize import parse_metadata, pgm_bytes
 from qmol.spectrum import eigensystem, resonant_solution
 from qmol.states import BELL_DISPLAY, BELL_LABELS
 
@@ -245,6 +245,23 @@ def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
     assert main(args + ["--out", str(b), "--pgm", str(pb)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["eigen", "tunneling-dynamics"])
+def test_sweep_renders_the_pgm_only_when_asked(monkeypatch, tmp_path, kind):
+    calls = []
+
+    def counted(values):
+        calls.append(values.shape)
+        return pgm_bytes(values)
+
+    monkeypatch.setattr(qmol.cli, "pgm_bytes", counted)
+    args = ["sweep", kind, "--tmax", "0.5", "--steps", "5", "--grid=0:1:3"]
+    assert main(args + ["--out", str(tmp_path / "map.csv")]) == 0
+    assert calls == []
+    pgm = tmp_path / "map.pgm"
+    assert main(args + ["--out", str(tmp_path / "map.csv"), "--pgm", str(pgm)]) == 0
+    assert len(calls) == 1 and pgm.read_bytes().startswith(b"P5\n")
 
 
 def test_sweep_csv_metadata_reproduces_file(tmp_path):

@@ -2,14 +2,15 @@
 
 Each stratum holds one route to an independent one at the edge where it
 is most likely to fail: spectral against analytic propagation up to
-`MAX_PHASE`, Jacobi against the closed-form resonant spectrum over
-sixteen decades of tunneling, the scalar against the batch kernel
-(and numpy's `eigvalsh`) at power-of-two scales either side of the range
-that is solved unscaled, and `bell_condition`'s Bell time against the
-exact 2 m pi hbar / j up to m = 1e9 and for n from 2**1019 to 2**1023, and
-its ratio against the exact sqrt(4n^2 - m^2)/(4m) up to n = 1e300.  The
-bounds were fixed before the strata ran, and the draws are derandomized,
-so each run sees the same inputs.
+`MAX_PHASE`, a trajectory's concurrence from pair phases against that of
+its stored amplitudes up to `MAX_PHASE`, Jacobi against the closed-form
+resonant spectrum over sixteen decades of tunneling, the scalar against
+the batch kernel (and numpy's `eigvalsh`) at power-of-two scales either
+side of the range that is solved unscaled, and `bell_condition`'s Bell
+time against the exact 2 m pi hbar / j up to m = 1e9 and for n from
+2**1019 to 2**1023, and its ratio against the exact sqrt(4n^2 - m^2)/(4m)
+up to n = 1e300.  The bounds were fixed before the strata ran, and the
+draws are derandomized, so each run sees the same inputs.
 """
 
 from fractions import Fraction
@@ -24,10 +25,11 @@ from hypothesis import strategies as st  # noqa: E402
 from test_linalg import assert_batch_matches_scalar  # noqa: E402
 
 from qmol.dynamics import MAX_PHASE, analytic_populations, bell_condition, trajectory  # noqa: E402
+from qmol.entanglement import concurrence_pure  # noqa: E402
 from qmol.hamiltonian import SystemParams, _positional_matrices  # noqa: E402
 from qmol.linalg import symmetric_eigensolve_batch  # noqa: E402
 from qmol.spectrum import eigensystem, resonant_solution  # noqa: E402
-from qmol.states import basis_state  # noqa: E402
+from qmol.states import BELL_LABELS, POSITIONAL_LABELS, basis_state  # noqa: E402
 from qmol.units import HBAR_UEV_NS  # noqa: E402
 
 _EPS = np.finfo(float).eps
@@ -46,6 +48,12 @@ _RATIO_TOL = 2.0 * _EPS
 # the Bell time for n from 2**1019 may differ from its exact value by this,
 # relative: _BELL_TOL and the rounding of n itself to a double
 _HUGE_BELL_TOL = 7.0 * _EPS
+# a trajectory's concurrence may differ from that of its stored amplitudes by
+# this up to _MODERATE_PHASE rad, as in test_trajectory_grid_and_contents,
+# and beyond it by the budget that MAX_PHASE's comment states
+_PAIR_TOL = 1e-14
+_MODERATE_PHASE = 1e5
+_PAIR_PHASE_TOL = 1e-6
 
 
 # -- analytic vs spectral populations up to MAX_PHASE ---------------------------
@@ -75,6 +83,34 @@ def test_analytic_populations_up_to_the_phase_limit(p):
         bound = _PHASE_C * _EPS * (1.0 + omega * traj.times)
         # written so that NaN fails it
         assert (np.abs(traj.populations - analytic) <= bound[:, None]).all()
+
+
+# -- pair-phase vs amplitude concurrence up to MAX_PHASE -------------------------
+
+
+@st.composite
+def _verify_params(draw):
+    """Parameters from `verify`'s range: j from 5 to 50 ueV, each tunneling
+    within +-2 j and, unless resonant, each detuning within +-j."""
+    j = draw(st.floats(5.0, 50.0))
+    e1, e2 = draw(
+        st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(-j, j), st.floats(-j, j)))
+    )
+    d1, d2 = draw(st.tuples(st.floats(-2.0 * j, 2.0 * j), st.floats(-2.0 * j, 2.0 * j)))
+    return SystemParams(eps1=e1, eps2=e2, delta1=d1, delta2=d2, j=j)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_verify_params())
+def test_pair_concurrence_matches_the_amplitudes_up_to_the_phase_limit(p):
+    omega = np.abs(eigensystem(p).energies).max() / HBAR_UEV_NS  # rad/ns
+    for phase in [10.0**k for k in range(-3, 8)] + [MAX_PHASE * (1.0 - 1e-12)]:
+        bound = _PAIR_TOL if phase <= _MODERATE_PHASE else _PAIR_PHASE_TOL
+        for label in POSITIONAL_LABELS + BELL_LABELS:
+            traj = trajectory(p, basis_state(label), phase / omega, 11)
+            amplitudes = [concurrence_pure(state) for state in traj.states]
+            # written so that NaN fails it
+            assert (np.abs(traj.concurrence - amplitudes) <= bound).all()
 
 
 # -- closed-form vs Jacobi spectra, tunneling/j from 1e-8 to 1e8 -----------------

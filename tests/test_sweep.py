@@ -9,7 +9,7 @@ import pytest
 from qmol import sweep
 from qmol.dynamics import bell_condition, trajectory
 from qmol.entanglement import concurrence_pure
-from qmol.errors import InvalidInput, NonHermitianInput, NotResonant
+from qmol.errors import ConvergenceError, InvalidInput, NonHermitianInput, NotResonant
 from qmol.hamiltonian import SystemParams, build_positional
 from qmol.linalg import hermitian_eigensolve
 from qmol.states import BELL_LABELS, POSITIONAL_LABELS, basis_state
@@ -336,6 +336,37 @@ def test_dynamics_map_raises_what_its_first_failing_row_raises(args, error, mess
     for build in (dynamics_map, reference_dynamics_map):
         with pytest.raises(error, match=re.escape(message)):
             build(*args, basis_state("RL"))
+
+
+def test_map_normalization_check_rejects_non_unitary_vectors(monkeypatch):
+    # map rows form no amplitudes, so they check V^T V and |c|^2 instead;
+    # both scale by s**2: within 2e-11 of 1 for s = 1 + 1e-12, not for 1 + 1e-9
+    solve = sweep.symmetric_eigensolve_batch
+
+    def run(distort):
+        def distorted(h):
+            values, vectors, pairs = solve(h)
+            return values, distort(vectors), pairs
+
+        monkeypatch.setattr(sweep, "symmetric_eigensolve_batch", distorted)
+        return dynamics_tunneling_map(
+            SystemParams(j=25.0), 2.0, 101, 0.1, 0.9, 5, basis_state("RL")
+        )
+
+    run(lambda v: v * (1.0 + 1e-12))
+
+    def with_nan(v):
+        v = v.copy()
+        v[-1, 2, 1] = np.nan
+        return v
+
+    for distort in (
+        lambda v: v * (1.0 + 1e-9),
+        lambda v: v[..., ::-1] * [1.0, 1.0, 1.0, 0.5],
+        with_nan,
+    ):
+        with pytest.raises(ConvergenceError, match="lost normalization"):
+            run(distort)
 
 
 def test_each_kind_repeats_bitwise():
