@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 _POP_SUM_TOL = 1e-10
-#: Map rows check |V^H V - I|_max and ||c|^2 - 1| against this, which
-#: bounds their populations' sums as _POP_SUM_TOL does (see `_concurrence_rows`).
+#: Map rows check |V^T V - I|_max of their real V and ||c|^2 - 1| against this,
+#: which bounds their populations' sums as _POP_SUM_TOL does (see `_concurrence_rows`).
 _UNITARY_TOL = 2e-11
 #: The ten pairs k <= l of eigenstates, and each pair's weight in a^T Y a.
 _PAIR_K, _PAIR_L = np.triu_indices(4)
@@ -62,16 +62,17 @@ def _check_output_size(what: str, *counts: int) -> None:
         )
 
 
-#: Largest phase max|E| * t / hbar (rad) that spectral propagation accepts.
-#: Jacobi eigenvalues are off by up to about 2e-15 * max|E| (worst 1.9e-15
-#: on 300 draws from `verify`'s range) and `_phase_tables`' times by up to
-#: 1.5 eps * t, so below 1e8 rad each phase is off by under 2.5e-7 rad, and a
-#: population by under twice that: less than the 5e-7 that would change its
-#: sixth printed decimal.  A pair phase of `_pair_concurrence` is the product
-#: of two table entries, so its error is the sum of theirs, under 5e-7 rad,
-#: as in the product a_LL * a_RR of two amplitudes.  The moduli of the ten
-#: terms sum to at most |c|^T |V^T Y V| |c| <= |V^T Y V|_F = 2, so a
-#: concurrence is off by under 1e-6 near this limit.
+#: Largest phase max|E| * t / hbar (rad) that `_phase_tables` accepts, for
+#: every evolution.  Jacobi eigenvalues are off by up to about
+#: 2e-15 * max|E| (worst 1.9e-15 on 300 draws from `verify`'s range) and
+#: `_phase_tables`' times by up to 1.5 eps * t, so below 1e8 rad each phase
+#: is off by under 2.5e-7 rad, and a population by under twice that: less
+#: than the 5e-7 that would change its sixth printed decimal.  A pair phase
+#: of `_pair_concurrence` is the product of two table entries, so its error
+#: is the sum of theirs, under 5e-7 rad, as in the product a_LL * a_RR of
+#: two amplitudes.  The moduli of the ten terms sum to at most
+#: |c|^T |V^T Y V| |c| <= |V^T Y V|_F = 2 for the real orthogonal V of every
+#: route, so a concurrence is off by under 1e-6 near this limit.
 MAX_PHASE = 1e8
 
 #: Largest phase |H|_F * dt / hbar (rad) of one `propagate_rk4` step.  RK4's
@@ -100,26 +101,18 @@ def _positional(psi0) -> np.ndarray:
     return psi0.to_positional().amplitudes
 
 
-def _evolve(energies, vectors, amps0, times) -> np.ndarray:
-    """Amplitudes at each time, rows indexed by the time grid.
+def _phase_tables(energies, vectors, amps0, times) -> tuple[np.ndarray, ...]:
+    """The coefficients c = V^T amps0 and the anchor and offset tables of exp(-iE t / hbar) * c.
 
-    `energies` and `vectors` are the eigensystem of the Hamiltonian, as
-    `hermitian_eigensolve` or one lane of `symmetric_eigensolve_batch`
-    returns it, with vectors[:, k] belonging to energies[k]; `times` is a
-    uniform grid (see `_phase_tables`).
-    """
-    tables = _phase_tables(energies, vectors.conj().T @ amps0, times)
-    return _amplitudes(vectors, *tables, times.shape[0])
-
-
-def _phase_tables(energies, coeffs, times) -> tuple[np.ndarray, np.ndarray]:
-    """The anchor and offset tables of the phase factors exp(-iE t / hbar) * coeffs.
-
-    `energies` and `coeffs` are (..., 4), one eigensystem or a stack of
-    them, and `times` is a uniform grid of n points.  With
+    The one evolution step of `propagate`, `trajectory` and the map rows.
+    `energies` (..., 4) and real `vectors` (..., 4, 4) are one eigensystem
+    or a stack of them, vectors[..., :, k] belonging to energies[..., k]:
+    a stack from `symmetric_eigensolve_batch`, or the real parts of
+    `hermitian_eigensolve`'s, exact since `build_positional` is real
+    symmetric.  `times` is a uniform grid of n points.  With
     m = isqrt(n - 1) + 1, the anchors (..., ceil(n / m), 4) hold
     exp(-iE t_bm / hbar) and the offsets (..., m, 4) hold
-    exp(-iE (t_j - t_0) / hbar) * coeffs, so that time k = b*m + j takes
+    exp(-iE (t_j - t_0) / hbar) * c, so that time k = b*m + j takes
     anchors[..., b, :] * offsets[..., j, :], and np.exp sees
     4 * (m + ceil(n / m)) arguments per eigensystem, not 4 * n.  On a grid
     from np.linspace, t_bm + (t_j - t_0) lies within 1.5 ulp(t_max) of t_k,
@@ -128,17 +121,12 @@ def _phase_tables(energies, coeffs, times) -> tuple[np.ndarray, np.ndarray]:
     """
     phase = float(np.abs(energies).max()) * float(times.max()) / HBAR_UEV_NS
     _check_phase(phase, "max|E| * t / hbar")
+    coeffs = vectors.swapaxes(-1, -2) @ amps0
     m = isqrt(times.shape[0] - 1) + 1
     offsets = np.exp(_phase_arguments(times[:m] - times[0], energies))
     offsets *= coeffs[..., None, :]
     anchors = np.exp(_phase_arguments(times[::m], energies))
-    return anchors, offsets
-
-
-def _amplitudes(vectors, anchors, offsets, n: int) -> np.ndarray:
-    """The (n, 4) amplitudes from one eigensystem's `_phase_tables`."""
-    phases = (anchors[:, None] * offsets).reshape(-1, vectors.shape[0])[:n]
-    return phases @ vectors.T
+    return coeffs, anchors, offsets
 
 
 def _pair_concurrence(vectors, anchors, offsets, n: int) -> np.ndarray:
@@ -176,16 +164,15 @@ def _concurrence_rows(energies, vectors, amps0, times) -> np.ndarray:
 
     The map rows' route: energies (..., 4) and vectors (..., 4, 4) as
     `symmetric_eigensolve_batch` returns them, evaluated by
-    `_pair_concurrence` on `_phase_tables`, which checks the phase.
-    No amplitudes are formed, so the populations check of `Trajectory`
-    becomes |V^H V - I|_max <= _UNITARY_TOL and ||c|^2 - 1| <= _UNITARY_TOL
-    for the coefficients c = V^H amps0; together they bound
-    ||a(t)|^2 - 1| by 4 tol (1 + tol) + tol = 1e-10 + 1.6e-21 at every t.
+    `_pair_concurrence` on `_phase_tables`, which checks the phase, as
+    `trajectory`'s concurrence is.  No amplitudes are formed, so the
+    populations check of `Trajectory` becomes |V^T V - I|_max <= _UNITARY_TOL
+    and ||c|^2 - 1| <= _UNITARY_TOL for the coefficients c = V^T amps0;
+    together they bound ||a(t)|^2 - 1| by 4 tol (1 + tol) + tol
+    = 1e-10 + 1.6e-21 at every t.
     """
-    adjoint = vectors.conj().swapaxes(-1, -2)
-    coeffs = adjoint @ amps0
-    tables = _phase_tables(energies, coeffs, times)
-    gram = np.abs(adjoint @ vectors - np.eye(4)).max()
+    coeffs, *tables = _phase_tables(energies, vectors, amps0, times)
+    gram = np.abs(vectors.swapaxes(-1, -2) @ vectors - np.eye(4)).max()
     norms = np.abs((coeffs * coeffs.conj()).real.sum(axis=-1) - 1.0).max()
     # written so that NaN fails it
     if not (gram <= _UNITARY_TOL and norms <= _UNITARY_TOL):
@@ -225,8 +212,9 @@ def propagate(p: SystemParams, psi0: StateVector, t: float) -> StateVector:
     """
     times = np.array([_checked_float(t, "t", "nonnegative")])
     dec = hermitian_eigensolve(build_positional(p))
-    out = _evolve(dec.values, dec.vectors, _positional(psi0), times)[0]
-    return StateVector(out, Basis.POSITIONAL)
+    vectors = np.ascontiguousarray(dec.vectors.real)
+    _, anchors, offsets = _phase_tables(dec.values, vectors, _positional(psi0), times)
+    return StateVector(((anchors * offsets) @ vectors.T)[0], Basis.POSITIONAL)
 
 
 def propagate_rk4(
@@ -439,9 +427,13 @@ class Trajectory:
         populations: real (len(times), 4) squared moduli, columns ordered
             (P_LL, P_LR, P_RL, P_RR); rows sum to 1 within 1e-10.
         concurrence: real (len(times),) pure-state concurrence, taken from
-            the phase factors without the amplitudes (as each row of a
-            dynamics map is) and within 1e-14 of the stored amplitudes'
-            concurrence.
+            the phase tables the amplitudes use, by the pair route and the
+            real eigenvectors of each dynamics-map row, and within 1e-14 of
+            the stored amplitudes' concurrence.
+
+    The arrays pass the array rule with shapes (n,), (n, 4), (n, 4) and
+    (n,), amplitudes complex and the others float, else InvalidInput; they
+    are stored read-only, those already of that dtype without a copy.
     """
 
     times: np.ndarray
@@ -450,7 +442,15 @@ class Trajectory:
     concurrence: np.ndarray
 
     def __post_init__(self) -> None:
-        p = self.populations
+        times = _checked_array(self.times, "times", (None,))
+        n = times.shape[0]
+        arrays = {
+            "times": times,
+            "amplitudes": _checked_array(self.amplitudes, "amplitudes", (n, 4), complex),
+            "populations": _checked_array(self.populations, "populations", (n, 4)),
+            "concurrence": _checked_array(self.concurrence, "concurrence", (n,)),
+        }
+        p = arrays["populations"]
         # the order of p.sum(axis=1), without its reduction loop per row
         sums = p[:, 0] + p[:, 1]
         sums += p[:, 2]
@@ -458,8 +458,9 @@ class Trajectory:
         # written so that NaN fails it
         if not float(np.abs(sums - 1.0).max()) <= _POP_SUM_TOL:
             raise ConvergenceError("propagation lost normalization beyond 1e-10")
-        for arr in (self.times, self.amplitudes, self.populations, self.concurrence):
-            arr.setflags(write=False)
+        for field, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, field, array)
 
     @property
     def states(self) -> tuple[StateVector, ...]:
@@ -483,21 +484,13 @@ def trajectory(
     _check_output_size("a trajectory", steps)
     t_max = _checked_float(t_max, "tmax", "positive")
     dec = hermitian_eigensolve(build_positional(p))
+    vectors = np.ascontiguousarray(dec.vectors.real)
     times = np.linspace(0.0, t_max, steps)
-    return _sampled(dec.values, dec.vectors, _positional(psi0), times)
-
-
-def _sampled(energies, vectors, amps0, times) -> Trajectory:
-    """The Trajectory from amplitudes amps0 at `times`; see `_evolve`.
-
-    Amplitudes and concurrence share one `_phase_tables`.
-    """
-    tables = _phase_tables(energies, vectors.conj().T @ amps0, times)
-    n = times.shape[0]
-    amps = _amplitudes(vectors, *tables, n)
+    _, anchors, offsets = _phase_tables(dec.values, vectors, _positional(psi0), times)
+    amps = (anchors[:, None] * offsets).reshape(-1, 4)[:steps] @ vectors.T
     return Trajectory(
         times=times,
         amplitudes=amps,
         populations=np.abs(amps) ** 2,
-        concurrence=_pair_concurrence(vectors, *tables, n),
+        concurrence=_pair_concurrence(vectors, anchors, offsets, steps),
     )

@@ -172,9 +172,14 @@ def concurrence_pure(psi: StateVector | np.ndarray) -> float:
 def _concurrence_from_amplitudes(amps: np.ndarray) -> np.ndarray:
     """Concurrence 2|c_LL*c_RR - c_LR*c_RL|, clipped to [0, 1], over the last axis.
 
-    The array form behind eigen maps: amps holds
-    positional-basis amplitudes along its last axis (length 4), and their
-    normalization is the caller's to guarantee.
+    The array form behind eigen maps: amps holds positional-basis
+    amplitudes along its last axis (length 4), and their normalization is
+    the caller's to guarantee.  It gives `concurrence_pure`'s bits only for
+    real amplitudes, as eigen maps pass (the batch kernel's vectors).  On
+    complex ones its bits follow numpy's complex-multiply loops (on an
+    x86-64 Xeon, 90 251 of 200 000 random unit states, 72 817 on numpy's
+    baseline loops, differed from `concurrence_pure` in the last place), so
+    no caller may give it a complex state.
     """
     value = 2.0 * np.abs(amps[..., 0] * amps[..., 3] - amps[..., 1] * amps[..., 2])
     return np.clip(value, 0.0, 1.0)

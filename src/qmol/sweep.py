@@ -220,12 +220,12 @@ def _dynamics_map(x_axis: Axis, y_axis: Axis, psi0: StateVector, couplings) -> S
     at the y values ys, as arrays or scalars, and raises InvalidInput
     where one is not finite.  Rows are solved in blocks by
     `symmetric_eigensolve_batch` and evaluated in slices of at most
-    `_SLICE_POINTS` values by `dynamics._concurrence_rows`, which forms no
-    amplitudes but keeps `trajectory`'s phase check and bounds the
-    normalization as its populations check does; each row equals
-    `trajectory(...).concurrence` for its parameters, bit for bit.  A
-    block that fails is solved again row by row, so the error raised is
-    that of its first failing row.
+    `_SLICE_POINTS` values by `dynamics._concurrence_rows`, which shares
+    `trajectory`'s coefficient-and-table step and real-vector arithmetic,
+    so each row equals `trajectory(...).concurrence` bit for bit; it forms
+    no amplitudes and bounds the normalization as the populations check
+    does.  A block that fails is solved again row by row, so the error
+    raised is that of its first failing row.
     """
     _check_output_size("a map", y_axis.count, x_axis.count)
     times, ys = x_axis.values, y_axis.values

@@ -11,9 +11,7 @@ from qmol.dynamics import (
     MAX_OUTPUT_VALUES,
     MAX_PHASE,
     Trajectory,
-    _evolve,
     _phase_arguments,
-    _sampled,
     analytic_populations,
     bell_condition,
     propagate,
@@ -29,7 +27,7 @@ from qmol.errors import (
     NumericOverflow,
 )
 from qmol.hamiltonian import SystemParams, build_positional
-from qmol.linalg import hermitian_eigensolve
+from qmol.linalg import EigenDecomposition, hermitian_eigensolve
 from qmol.spectrum import eigensystem, resonant_solution
 from qmol.states import Basis, StateVector, basis_state
 from qmol.units import HBAR_UEV_NS
@@ -531,6 +529,28 @@ def test_trajectory_normalization_check_fails_on_nan():
         )
 
 
+def test_trajectory_takes_its_arrays_through_the_array_rule():
+    traj = Trajectory([0.0, 1.0], [[1, 0, 0, 0]] * 2, [[1, 0, 0, 0]] * 2, [0.0, 0.0])
+    assert traj.amplitudes.dtype == complex and traj.populations.dtype == float
+    assert not any(a.flags.writeable for a in (traj.times, traj.amplitudes, traj.concurrence))
+    # arrays already of the right dtype are frozen, not copied
+    arrays = [np.array([0.0, 1.0]), np.eye(4, dtype=complex)[:2], np.eye(4)[:2], np.zeros(2)]
+    traj = Trajectory(*arrays)
+    assert all(kept is given for kept, given in zip(vars(traj).values(), arrays))
+    for bad in [
+        ([0.0, 1.0], [[1, 0, 0, 0]] * 2, [[1, 0, 0, 0]] * 2, [0.0, 0.0, 0.0]),
+        ([0.0, 1.0], [[1, 0, 0, 0]] * 3, [[1, 0, 0, 0]] * 2, [0.0, 0.0]),
+        ([0.0, 1.0], [[1, 0, 0, 0]] * 2, [[1, 0, 0]] * 2, [0.0, 0.0]),
+        ([[0.0, 1.0]], [[1, 0, 0, 0]] * 2, [[1, 0, 0, 0]] * 2, [0.0, 0.0]),
+        ([0.0, 1.0], [[1, 0, 0, 0]] * 2, [[1j, 0, 0, 0]] * 2, [0.0, 0.0]),
+        (["0", "1"], [[1, 0, 0, 0]] * 2, [[1, 0, 0, 0]] * 2, [0.0, 0.0]),
+        ([0.0, 1.0], [[1, 0, 0, 0], [1, 0]], [[1, 0, 0, 0]] * 2, [0.0, 0.0]),
+        ([0.0, 1.0], [[1, 0, 0, 0]] * 2, [[1, 0, 0, 0]] * 2, [True, False]),
+    ]:
+        with pytest.raises(InvalidInput):
+            Trajectory(*bad)
+
+
 @pytest.mark.parametrize(
     "energies",
     [
@@ -556,17 +576,32 @@ def test_phase_arguments_match_the_complex_expression(energies):
 def test_evolution_matches_the_complex_expression():
     rng = np.random.default_rng(1401)
     for _ in range(20):
-        dec = hermitian_eigensolve(build_positional(random_params(rng)))
-        amps0 = random_state(rng).amplitudes
-        times = np.linspace(0.0, float(rng.uniform(0.1, 10.0)), 501)
-        coeffs = dec.vectors.conj().T @ amps0
+        p, psi = random_params(rng), random_state(rng)
+        dec = hermitian_eigensolve(build_positional(p))
+        vectors = np.ascontiguousarray(dec.vectors.real)
+        t_max = float(rng.uniform(0.1, 10.0))
+        times = np.linspace(0.0, t_max, 501)
+        coeffs = vectors.T @ psi.amplitudes
         # anchors at every 23rd time, offsets from t_0 for the 23 between
         offsets = np.exp(-1j * np.outer(times[:23] - times[0], dec.values) / HBAR_UEV_NS)
         offsets *= coeffs
         anchors = np.exp(-1j * np.outer(times[::23], dec.values) / HBAR_UEV_NS)
         phases = (anchors[:, None] * offsets).reshape(-1, 4)[:501]
-        expected = phases @ dec.vectors.T
-        assert _evolve(dec.values, dec.vectors, amps0, times).tobytes() == expected.tobytes()
+        expected = phases @ vectors.T
+        assert trajectory(p, psi, t_max, 501).amplitudes.tobytes() == expected.tobytes()
+
+
+def test_propagate_matches_the_trajectory_end_point_bit_for_bit():
+    # n = 1 and the second point of n = 2 take the same phase factor, the
+    # trajectory's through an anchor exp(0) = 1
+    rng = np.random.default_rng(1403)
+    states = [basis_state(name) for name in ("RL", "LL", "PsiPlus", "PhiMinus")]
+    for draw in range(60):
+        p = random_params(rng, resonant=draw % 2 == 0)
+        for psi in states + [random_state(rng), random_state(rng)]:
+            t = float(rng.uniform(1e-3, 10.0))
+            amps = propagate(p, psi, t).amplitudes
+            assert amps.tobytes() == trajectory(p, psi, t, 2).amplitudes[1].tobytes()
 
 
 GRID_SIZES = [1, 2, 3, 15, 16, 17, 2001, 20001]
@@ -580,16 +615,19 @@ def test_evolution_stays_within_eps_of_one_exp_per_time(n):
     rng = np.random.default_rng([1402, n])
     eps = np.finfo(float).eps
     for draw in range(12):
-        dec = hermitian_eigensolve(build_positional(random_params(rng)))
-        amps0 = random_state(rng).amplitudes
+        p, psi = random_params(rng), random_state(rng)
+        dec = hermitian_eigensolve(build_positional(p))
         top = MAX_PHASE * (1 - 1e-12) if draw < 2 else 10.0 ** rng.uniform(-3.0, 8.0)
         e_max = float(np.abs(dec.values).max())
         t_max = top * HBAR_UEV_NS / e_max
         times = np.linspace(0.0, t_max, n) if n > 1 else np.array([t_max])
-        coeffs = dec.vectors.conj().T @ amps0
+        coeffs = dec.vectors.conj().T @ psi.amplitudes
         phases = np.exp(-1j * np.outer(times, dec.values) / HBAR_UEV_NS)
         expected = (phases * coeffs) @ dec.vectors.T
-        amps = _evolve(dec.values, dec.vectors, amps0, times)
+        if n == 1:
+            amps = propagate(p, psi, t_max).amplitudes[None]
+        else:
+            amps = trajectory(p, psi, t_max, n).amplitudes
         scale = eps * (1.0 + e_max * times / HBAR_UEV_NS)[:, None]
         assert (np.abs(amps - expected) <= 4.0 * scale).all()
         assert (np.abs(np.abs(amps) ** 2 - np.abs(expected) ** 2) <= 8.0 * scale).all()
@@ -614,16 +652,21 @@ def test_evolution_exponentiates_about_two_sqrt_n_arguments(monkeypatch, n):
     assert sum(sizes) <= 4 * (m + ceil(n / m))
 
 
-def test_normalization_check_rejects_non_unitary_vectors():
-    dec = hermitian_eigensolve(build_positional(SystemParams(delta1=3.0, delta2=1.0)))
-    amps0 = basis_state("RL").amplitudes
-    times = np.linspace(0.0, 2.0, 101)
+def test_normalization_check_rejects_non_unitary_vectors(monkeypatch):
+    p = SystemParams(delta1=3.0, delta2=1.0)
+    dec = hermitian_eigensolve(build_positional(p))
+
+    def solved_as(vectors):
+        solved = EigenDecomposition(dec.values, vectors, dec.degenerate_pairs)
+        monkeypatch.setattr(qmol.dynamics, "hermitian_eigensolve", lambda m: solved)
+        return trajectory(p, basis_state("RL"), 2.0, 101)
+
     # populations scale by s**4: within 1e-10 of 1 for s = 1 + 1e-12, not for 1 + 1e-9
-    _sampled(dec.values, dec.vectors * (1.0 + 1e-12), amps0, times)
+    solved_as(dec.vectors * (1.0 + 1e-12))
     with pytest.raises(ConvergenceError, match="lost normalization"):
-        _sampled(dec.values, dec.vectors * (1.0 + 1e-9), amps0, times)
+        solved_as(dec.vectors * (1.0 + 1e-9))
     with pytest.raises(ConvergenceError, match="lost normalization"):
-        _sampled(dec.values, dec.vectors[:, ::-1] * [1.0, 1.0, 1.0, 0.5], amps0, times)
+        solved_as(dec.vectors[:, ::-1] * [1.0, 1.0, 1.0, 0.5])
 
 
 def test_trajectory_accepts_bell_initial_state():
