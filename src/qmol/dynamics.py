@@ -14,6 +14,7 @@ from math import ceil, cos, hypot, isfinite, isqrt, pi, prod, sqrt
 
 import numpy as np
 
+from .entanglement import _flip_form
 from .errors import ConvergenceError, InvalidInput, NoRealSolution, NumericOverflow
 from .errors import _checked_array, _checked_float, _checked_int, _shown
 from .hamiltonian import SystemParams, build_positional
@@ -134,23 +135,20 @@ def _pair_concurrence(vectors, anchors, offsets, n: int) -> np.ndarray:
 
     For one eigensystem or a stack of them: vectors (..., 4, 4) and the
     tables of their energies; returns (..., n).  A pure state a has
-    C = |a^T Y a| with Y = sigma_y (x) sigma_y (Hill and Wootters, PRL 78,
-    5022, 1997), which is 2|a_LL a_RR - a_LR a_RL|.  With a(t) = V phi(t)
-    and phi_k = exp(-iE_k t / hbar) c_k, a^T Y a is the sum over the ten
-    pairs k <= l of w_kl (V^T Y V)_kl phi_k phi_l, w being 1 for k = l and
-    2 otherwise.  Each pair's table is the product of its two columns, so
-    no E_k + E_l is formed (it can overflow where E_k * t cannot), and
-    g_kl = w_kl (V^T Y V)_kl is folded into the offsets: C at time b*m + j
-    is |(pair anchors @ pair offsets^T)[b, j]|, one (ceil(n/m) x 10) @
-    (10 x m) product per eigensystem.  Each eigensystem's arithmetic is the
-    same alone or in a stack, so a stacked row has the bits of its own
-    evaluation.
+    C = |a^T Y a| (Hill and Wootters, PRL 78, 5022, 1997).  With
+    a(t) = V phi(t) and phi_k = exp(-iE_k t / hbar) c_k, a^T Y a is the sum
+    over the ten pairs k <= l of w_kl (V^T Y V)_kl phi_k phi_l, w being 1
+    for k = l and 2 otherwise.  Each pair's table is the product of its
+    two columns, so no E_k + E_l is formed (it can overflow where E_k * t
+    cannot), and g_kl = w_kl (V^T Y V)_kl, V's columns k and l taken by
+    `qmol.entanglement._flip_form`, is folded into the offsets: C at time
+    b*m + j is |(pair anchors @ pair offsets^T)[b, j]|, one
+    (ceil(n/m) x 10) @ (10 x m) product per eigensystem.  Each
+    eigensystem's arithmetic is the same alone or in a stack, so a stacked
+    row has the bits of its own evaluation.
     """
-    vk, vl = vectors[..., _PAIR_K], vectors[..., _PAIR_L]
-    # (V^T Y V)_kl; Y is the reversal of the basis with signs (-1, 1, 1, -1)
-    g = vk[..., 1, :] * vl[..., 2, :] + vk[..., 2, :] * vl[..., 1, :]
-    g -= vk[..., 0, :] * vl[..., 3, :] + vk[..., 3, :] * vl[..., 0, :]
-    g *= _PAIR_WEIGHTS
+    v = np.moveaxis(vectors, -2, 0)
+    g = _PAIR_WEIGHTS * _flip_form(v[..., _PAIR_K], v[..., _PAIR_L])
     pair_offsets = offsets[..., _PAIR_K] * offsets[..., _PAIR_L]
     pair_offsets *= g[..., None, :]
     pair_anchors = anchors[..., _PAIR_K] * anchors[..., _PAIR_L]
@@ -432,8 +430,9 @@ class Trajectory:
             the stored amplitudes' concurrence.
 
     The arrays pass the array rule with shapes (n,), (n, 4), (n, 4) and
-    (n,), amplitudes complex and the others float, else InvalidInput; they
-    are stored read-only, those already of that dtype without a copy.
+    (n,), n >= 1, amplitudes complex and the others float, else
+    InvalidInput; they are stored read-only, those already of that dtype
+    without a copy.
     """
 
     times: np.ndarray
@@ -444,6 +443,8 @@ class Trajectory:
     def __post_init__(self) -> None:
         times = _checked_array(self.times, "times", (None,))
         n = times.shape[0]
+        if n == 0:
+            raise InvalidInput("times must hold at least one time point, got none")
         arrays = {
             "times": times,
             "amplitudes": _checked_array(self.amplitudes, "amplitudes", (n, 4), complex),

@@ -154,7 +154,9 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
 
 
 def concurrence_pure(psi: StateVector | np.ndarray) -> float:
-    """Concurrence 2|c_LL*c_RR - c_LR*c_RL| of a positional-basis pure state.
+    """Concurrence |a^T Y a| = 2|c_LL*c_RR - c_LR*c_RL| of a positional-basis pure state.
+
+    `_flip_form` of the numpy scalars amps[0]..amps[3], rounded as Python complex numbers.
 
     Raises:
         NotNormalized: unless psi is a StateVector or an array of four
@@ -165,21 +167,16 @@ def concurrence_pure(psi: StateVector | np.ndarray) -> float:
     else:
         amps = _checked_array(psi, "psi", (4,), complex, NotNormalized)
         _check_unit_norm(amps, _PURE_NORM_TOL)
-    value = 2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2])
-    return min(max(float(value), 0.0), 1.0)
+    return min(float(abs(_flip_form(amps, amps))), 1.0)
 
 
-def _concurrence_from_amplitudes(amps: np.ndarray) -> np.ndarray:
-    """Concurrence 2|c_LL*c_RR - c_LR*c_RL|, clipped to [0, 1], over the last axis.
+def _flip_form(a, b):
+    """a^T Y b, Y = sigma_y (x) sigma_y, the four positional components on axis 0.
 
-    The array form behind eigen maps: amps holds positional-basis
-    amplitudes along its last axis (length 4), and their normalization is
-    the caller's to guarantee.  It gives `concurrence_pure`'s bits only for
-    real amplitudes, as eigen maps pass (the batch kernel's vectors).  On
-    complex ones its bits follow numpy's complex-multiply loops (on an
-    x86-64 Xeon, 90 251 of 200 000 random unit states, 72 817 on numpy's
-    baseline loops, differed from `concurrence_pure` in the last place), so
-    no caller may give it a complex state.
+    The one pure-state contraction, of `concurrence_pure`, eigen-map cells
+    and the pair table of `qmol.dynamics`; for a = b it is exactly
+    2(a_LR a_RL - a_LL a_RR).  Python numbers, numpy scalars and real
+    arrays only: on complex arrays, 0-d ones too, its bits would follow
+    numpy's SIMD complex-multiply loops, which differ between CPUs.
     """
-    value = 2.0 * np.abs(amps[..., 0] * amps[..., 3] - amps[..., 1] * amps[..., 2])
-    return np.clip(value, 0.0, 1.0)
+    return (a[1] * b[2] + a[2] * b[1]) - (a[0] * b[3] + a[3] * b[0])

@@ -130,8 +130,8 @@ def _checked_array(value, name, shape=None, dtype=float, error=InvalidInput, fin
             a = a.reshape(shape)
         elif a.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, a.shape)):
             dims = "x".join("*" if n is None else str(n) for n in shape)
-            what = f"{dims} elements" if len(shape) == 1 else f"a {dims} matrix"
-            raise error(f"expected {what}, got shape {a.shape}")
+            what = f"have {dims} elements" if len(shape) == 1 else f"be a {dims} matrix"
+            raise error(f"{name} must {what}, got shape {a.shape}")
     a = a.astype(dtype or (complex if a.dtype.kind == "c" else float), copy=False)
     if finite and not np.isfinite(a).all():
         raise error(f"{name} must be finite")

@@ -17,7 +17,7 @@ from math import isfinite
 import numpy as np
 
 from .dynamics import _check_output_size, _concurrence_rows, _positional
-from .entanglement import _concurrence_from_amplitudes
+from .entanglement import _flip_form
 from .errors import InvalidInput, NotResonant, QmolError
 from .errors import _checked_array, _checked_float, _checked_int
 from .hamiltonian import SystemParams, _positional_matrices
@@ -142,7 +142,8 @@ def eigen_concurrence_map(
         iy, ix = np.divmod(np.arange(start, stop), steps)
         h = _positional_matrices(xs[ix], ys[iy], base.delta1, base.delta2, base.j)
         _, vectors, pairs = symmetric_eigensolve_batch(h)
-        values[start:stop] = _concurrence_from_amplitudes(vectors[:, :, state_index])
+        amps = vectors[:, :, state_index].T
+        values[start:stop] = np.clip(np.abs(_flip_form(amps, amps)), 0.0, 1.0)
         mask[start:stop] = pair_flags_to_states(pairs.T)[state_index]
     shape = (steps, steps)
     return SweepGrid(

@@ -551,6 +551,13 @@ def test_trajectory_takes_its_arrays_through_the_array_rule():
             Trajectory(*bad)
 
 
+def test_trajectory_needs_a_time_point():
+    with pytest.raises(InvalidInput, match="^times must hold at least one time point"):
+        Trajectory([], np.zeros((0, 4)), np.zeros((0, 4)), [])
+    one = Trajectory([0.0], [[1, 0, 0, 0]], [[1, 0, 0, 0]], [0.0])
+    assert one.times.shape == (1,)
+
+
 @pytest.mark.parametrize(
     "energies",
     [

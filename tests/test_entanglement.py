@@ -311,7 +311,7 @@ def _rho_with(diagonal, **entries):
         # eigenvalues beyond the double range: the trace is reported, not the overflow
         (_HUGE_OFF_DIAGONAL, r"trace is \(2\+0j\)"),
         (_rho_with([0.6, 0.5, -0.1, 0.0]), "negative eigenvalue"),
-        (np.eye(3) / 3.0, "expected a 4x4 matrix"),
+        (np.eye(3) / 3.0, "rho must be a 4x4 matrix"),
     ],
 )
 def test_density_checks_report_in_order(rho, message):
@@ -404,6 +404,20 @@ def test_pure_accepts_bell_basis_state_vector():
     # conversion to the positional basis happens internally
     psi = basis_state("RL").to_bell()
     assert concurrence_pure(psi) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_pure_concurrence_keeps_pythons_complex_arithmetic():
+    # numpy's loops over complex arrays, 0-d ones included, round some of
+    # these products differently on some CPUs; the numpy scalars
+    # concurrence_pure works on must give the bits of Python's complex
+    rng = np.random.default_rng(29)
+    states = rng.standard_normal((10_000, 4)) + 1j * rng.standard_normal((10_000, 4))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    for amps in states:
+        c = amps.tolist()
+        expected = min(max(2.0 * abs(c[0] * c[3] - c[1] * c[2]), 0.0), 1.0)
+        assert concurrence_pure(amps) == expected
+        assert concurrence_pure(StateVector(amps, Basis.POSITIONAL)) == expected
 
 
 def test_value_clipped_to_unit_interval():

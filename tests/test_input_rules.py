@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from qmol.dynamics import (
+    Trajectory,
     analytic_populations,
     bell_condition,
     propagate,
@@ -283,8 +284,16 @@ def test_bad_arrays_states_and_tolerances_raise_the_sites_typed_error(call, erro
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: spin_flip(np.eye(3)), "expected a 4x4 matrix, got shape (3, 3)"),
-        (lambda: StateVector(np.zeros(5)), "expected 4 elements, got shape (5,)"),
+        (lambda: spin_flip(np.eye(3)), "rho must be a 4x4 matrix, got shape (3, 3)"),
+        (lambda: StateVector(np.zeros(5)), "amplitudes must have 4 elements, got shape (5,)"),
+        (
+            lambda: Trajectory([0.0, 1.0], np.zeros((2, 4)), [[1, 0, 0, 0]] * 2, [0.0] * 3),
+            "concurrence must have 2 elements, got shape (3,)",
+        ),
+        (
+            lambda: SweepGrid(_AX, _AX, np.zeros((2, 3))),
+            "values must be a 3x3 matrix, got shape (2, 3)",
+        ),
         (
             lambda: StateVector([True, False, False, False]),
             "amplitudes must be an array of numbers, got dtype bool",

@@ -467,7 +467,7 @@ def _reference_eigensolve(m: np.ndarray) -> EigenDecomposition:
     solves must give its bits."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
-        raise NonHermitianInput(f"expected a 4x4 matrix, got shape {m.shape}")
+        raise NonHermitianInput(f"m must be a 4x4 matrix, got shape {m.shape}")
     big = _max_abs(m.tolist())
     exp = 0 if _SCALE_MIN <= big <= _SCALE_MAX else int(_scale_exponent(big))
     if exp:
