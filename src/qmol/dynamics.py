@@ -16,7 +16,7 @@ import numpy as np
 
 from .entanglement import _flip_form
 from .errors import ConvergenceError, InvalidInput, NoRealSolution, NumericOverflow
-from .errors import _checked_array, _checked_float, _checked_int, _shown
+from .errors import _checked_array, _checked_float, _checked_int, _checked_type, _shown
 from .hamiltonian import SystemParams, build_positional
 from .linalg import hermitian_eigensolve
 from .spectrum import resonant_solution
@@ -97,9 +97,7 @@ def _check_phase(phase: float, formula: str) -> None:
 
 def _positional(psi0) -> np.ndarray:
     """The positional amplitudes of psi0; InvalidInput unless it is a StateVector."""
-    if not isinstance(psi0, StateVector):
-        raise InvalidInput(f"psi0 must be a StateVector, got {type(psi0).__name__}")
-    return psi0.to_positional().amplitudes
+    return _checked_type(psi0, StateVector, "psi0").to_positional().amplitudes
 
 
 def _phase_tables(energies, vectors, amps0, times) -> tuple[np.ndarray, ...]:
@@ -133,21 +131,22 @@ def _phase_tables(energies, vectors, amps0, times) -> tuple[np.ndarray, ...]:
 def _pair_concurrence(vectors, anchors, offsets, n: int) -> np.ndarray:
     """Concurrence at the n times of `_phase_tables`, clipped to [0, 1], without amplitudes.
 
-    For one eigensystem or a stack of them: vectors (..., 4, 4) and the
-    tables of their energies; returns (..., n).  A pure state a has
-    C = |a^T Y a| (Hill and Wootters, PRL 78, 5022, 1997).  With
-    a(t) = V phi(t) and phi_k = exp(-iE_k t / hbar) c_k, a^T Y a is the sum
-    over the ten pairs k <= l of w_kl (V^T Y V)_kl phi_k phi_l, w being 1
-    for k = l and 2 otherwise.  Each pair's table is the product of its
-    two columns, so no E_k + E_l is formed (it can overflow where E_k * t
-    cannot), and g_kl = w_kl (V^T Y V)_kl, V's columns k and l taken by
+    For one eigensystem or a stack of them: vectors (4, 4) or (N, 4, 4),
+    never more axes, and the tables of their energies; returns (n,) or
+    (N, n).  A pure state a has C = |a^T Y a| (Hill and Wootters, PRL 78,
+    5022, 1997).  With a(t) = V phi(t) and phi_k = exp(-iE_k t / hbar) c_k,
+    a^T Y a is the sum over the ten pairs k <= l of
+    w_kl (V^T Y V)_kl phi_k phi_l, w being 1 for k = l and 2 otherwise.
+    Each pair's table is the product of its two columns, so no E_k + E_l
+    is formed (it can overflow where E_k * t cannot), and
+    g_kl = w_kl (V^T Y V)_kl, V's columns k and l taken by
     `qmol.entanglement._flip_form`, is folded into the offsets: C at time
     b*m + j is |(pair anchors @ pair offsets^T)[b, j]|, one
     (ceil(n/m) x 10) @ (10 x m) product per eigensystem.  Each
     eigensystem's arithmetic is the same alone or in a stack, so a stacked
     row has the bits of its own evaluation.
     """
-    v = np.moveaxis(vectors, -2, 0)
+    v = vectors.swapaxes(0, -2)  # V's rows first, for two or three axes
     g = _PAIR_WEIGHTS * _flip_form(v[..., _PAIR_K], v[..., _PAIR_L])
     pair_offsets = offsets[..., _PAIR_K] * offsets[..., _PAIR_L]
     pair_offsets *= g[..., None, :]

@@ -101,6 +101,14 @@ def _checked_float(value, name: str, bound: str = "") -> float:
     return x
 
 
+def _checked_type(value, cls: type, name: str):
+    """value itself; InvalidInput unless an instance of cls."""
+    if not isinstance(value, cls):
+        what = f"{'an' if cls.__name__[0] in 'AEIOU' else 'a'} {cls.__name__}"
+        raise InvalidInput(f"{name} must be {what}, got {type(value).__name__}")
+    return value
+
+
 # the dtype kinds `_checked_array` converts to each target dtype, and their names
 _ARRAY_KINDS = {float: "iuf", complex: "iufc", None: "iufc", bool: "b"}
 _KIND_NAMES = {"iuf": "real numbers", "iufc": "numbers", "b": "bools"}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _checked_float
+from .errors import _checked_float, _checked_type
 
 __all__ = ["SystemParams", "build_positional", "build_bell"]
 
@@ -64,6 +64,7 @@ class SystemParams:
 
 def build_positional(p: SystemParams) -> np.ndarray:
     """Hamiltonian over the positional basis {|LL>, |LR>, |RL>, |RR>}."""
+    _checked_type(p, SystemParams, "p")
     return _positional_matrices(p.eps1, p.eps2, p.delta1, p.delta2, p.j).astype(complex)
 
 
@@ -106,6 +107,7 @@ def build_bell(p: SystemParams) -> np.ndarray:
     Psi states and -eps_sum/2 between the Phi states.  Equals
     B @ build_positional(p) @ B^dagger for B = states.BELL_MATRIX.
     """
+    _checked_type(p, SystemParams, "p")
     j4 = p.j / 4.0
     am = p.delta2 / 2.0 - p.delta1 / 2.0
     ap = p.delta1 / 2.0 + p.delta2 / 2.0

@@ -18,7 +18,7 @@ from math import hypot, isfinite, sqrt
 
 import numpy as np
 
-from .errors import NotResonant, NumericOverflow, _checked_float
+from .errors import NotResonant, NumericOverflow, _checked_float, _checked_type
 from .hamiltonian import SystemParams, build_positional
 from .linalg import EigenDecomposition, hermitian_eigensolve, pair_flags_to_states
 from .states import BELL_MATRIX, Basis, StateVector
@@ -176,6 +176,7 @@ def resonant_solution(p: SystemParams) -> ResonantSolution:
         NotResonant: if either detuning is nonzero, however small.
         NumericOverflow: if a block's beta does not fit a double.
     """
+    _checked_type(p, SystemParams, "p")
     if p.eps1 != 0.0 or p.eps2 != 0.0:
         raise NotResonant(
             f"closed-form solution needs eps1 = eps2 = 0 exactly, got "
@@ -208,6 +209,7 @@ def classify_resonance(p: SystemParams, tol: float = 1e-12) -> ResonanceKind:
     Raises:
         InvalidInput: unless tol is a nonnegative and finite real number.
     """
+    _checked_type(p, SystemParams, "p")
     tol = _checked_float(tol, "tol", "nonnegative")
     if abs(p.eps1) <= tol and abs(p.eps2) <= tol:
         return ResonanceKind.FULL_RESONANCE

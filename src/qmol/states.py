@@ -16,13 +16,14 @@ from math import hypot, sqrt
 
 import numpy as np
 
-from .errors import InvalidInput, NotNormalized, _checked_array
+from .errors import InvalidInput, NotNormalized, _checked_array, _checked_type
 
 __all__ = [
     "Basis",
     "POSITIONAL_LABELS",
     "BELL_LABELS",
     "BELL_DISPLAY",
+    "BELL_MATRIX",
     "StateVector",
     "basis_state",
     "canonical_label",
@@ -112,7 +113,7 @@ class StateVector:
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>, converting bases if they differ."""
         a = self.to_positional().amplitudes
-        b = other.to_positional().amplitudes
+        b = _checked_type(other, StateVector, "other").to_positional().amplitudes
         return complex(np.vdot(a, b))
 
     def density_matrix(self) -> np.ndarray:

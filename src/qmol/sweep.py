@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import _check_output_size, _concurrence_rows, _positional
 from .entanglement import _flip_form
 from .errors import InvalidInput, NotResonant, QmolError
-from .errors import _checked_array, _checked_float, _checked_int
+from .errors import _checked_array, _checked_float, _checked_int, _checked_type
 from .hamiltonian import SystemParams, _positional_matrices
 from .linalg import pair_flags_to_states, symmetric_eigensolve_batch
 
@@ -94,6 +94,8 @@ class SweepGrid:
     degenerate_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        for axis, name in ((self.x_axis, "x_axis"), (self.y_axis, "y_axis")):
+            _checked_type(axis, Axis, name)
         shape = (self.y_axis.count, self.x_axis.count)
         arrays = {"values": _checked_array(self.values, "values", shape, finite=True)}
         if self.degenerate_mask is not None:
@@ -125,6 +127,7 @@ def eigen_concurrence_map(
         InvalidInput: for a state index outside 0..3 or a map of more than
             MAX_OUTPUT_VALUES cells.
     """
+    _checked_type(base, SystemParams, "base")
     state_index = _checked_int(state_index, "state_index", 0, 3)
     lo = -base.j if eps_min is None else eps_min
     hi = base.j if eps_max is None else eps_max
@@ -168,6 +171,7 @@ def dynamics_tunneling_map(
     Raises:
         NotResonant: unless both base detunings are exactly zero.
     """
+    _checked_type(base, SystemParams, "base")
     if base.eps1 != 0.0 or base.eps2 != 0.0:
         raise NotResonant(
             f"tunneling-ratio map requires detunings e1 = e2 = 0 exactly, "
@@ -200,6 +204,7 @@ def dynamics_detuning_map(
     Requires equal tunnelings in `base`, which the map's mirror symmetries
     rely on; time runs along x and eps1 along y.
     """
+    _checked_type(base, SystemParams, "base")
     if _checked_int(sign, "sign", -1, 1) == 0:
         raise InvalidInput(f"sign must be +1 or -1, got {sign!r}")
     if base.delta1 != base.delta2:

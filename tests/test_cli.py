@@ -844,10 +844,34 @@ def test_out_and_pgm_on_one_path_leave_the_pgm(tmp_path):
     assert both.read_bytes() == _fresh_sweep_bytes(tmp_path, "-25:25:3")[1]
 
 
+#: qmol.__all__ before it was composed from the modules' own lists
+_EARLIER_PACKAGE_NAMES = """__version__ HBAR_UEV_NS Basis StateVector basis_state POSITIONAL_LABELS
+    BELL_LABELS BELL_MATRIX SystemParams build_positional build_bell EigenDecomposition
+    hermitian_eigensolve EigenSystem eigensystem ResonantBranch ResonantSolution
+    resonant_solution ResonanceKind classify_resonance ConcurrenceResult concurrence
+    concurrence_pure spin_flip propagate propagate_rk4 analytic_populations BellCondition
+    bell_condition Trajectory trajectory Axis SweepGrid eigen_concurrence_map
+    dynamics_tunneling_map dynamics_detuning_map QmolError InvalidInput NonHermitianInput
+    ConvergenceError NumericOverflow NotNormalized NotResonant NoRealSolution
+    InvalidDensityMatrix ConfigError""".split()
+
+
 def test_package_exports_every_error_class():
     # exit codes 2, 3 and 4 are documented per error class, so a caller
-    # of `from qmol import *` must see each of them
+    # of `from qmol import *` must see each of them; every other public
+    # name of the model modules is re-exported the same way
     import qmol
-    import qmol.errors
 
     assert set(qmol.errors.__all__) <= set(qmol.__all__)
+    order = "units states hamiltonian linalg spectrum entanglement dynamics sweep errors"
+    modules = [getattr(qmol, name) for name in order.split()]
+    assert qmol.__all__ == ["__version__"] + [name for m in modules for name in m.__all__]
+    assert len(set(qmol.__all__)) == len(qmol.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qmol, name) is getattr(module, name), (module.__name__, name)
+    star = {}
+    exec("from qmol import *", star)
+    assert set(star) - {"__builtins__"} == set(qmol.__all__)
+    for name in _EARLIER_PACKAGE_NAMES:
+        assert name in qmol.__all__ and hasattr(qmol, name), name

@@ -31,6 +31,7 @@ from qmol.linalg import EigenDecomposition, hermitian_eigensolve
 from qmol.spectrum import eigensystem, resonant_solution
 from qmol.states import Basis, StateVector, basis_state
 from qmol.units import HBAR_UEV_NS
+from qmol.verify import _random_state as random_state
 
 # frozen from the closed forms: ratio = sqrt(4n^2/m^2 - 1)/4, t_e = 2 pi m hbar / j
 RATIO_11 = 0.4330127018922193
@@ -51,11 +52,6 @@ def scaled(p, s):
     return SystemParams(
         eps1=s * p.eps1, eps2=s * p.eps2, delta1=s * p.delta1, delta2=s * p.delta2, j=s * p.j
     )
-
-
-def random_state(rng):
-    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return StateVector(a / np.linalg.norm(a), Basis.POSITIONAL)
 
 
 def test_propagate_zero_time_is_identity():

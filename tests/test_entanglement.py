@@ -7,22 +7,8 @@ import pytest
 from qmol.entanglement import concurrence, concurrence_pure, spin_flip
 from qmol.errors import InvalidDensityMatrix, NotNormalized, NumericOverflow, QmolError
 from qmol.states import BELL_LABELS, Basis, StateVector, basis_state
-
-
-def random_pure(rng):
-    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return StateVector(a / np.linalg.norm(a), Basis.POSITIONAL)
-
-
-def random_su2(rng):
-    theta, alpha, beta = rng.uniform(0.0, 2.0 * np.pi, 3)
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array(
-        [
-            [c * np.exp(1j * alpha), s * np.exp(1j * beta)],
-            [-s * np.exp(-1j * beta), c * np.exp(-1j * alpha)],
-        ]
-    )
+from qmol.verify import _random_state as random_pure
+from qmol.verify import _random_su2 as random_su2
 
 
 def werner(p):

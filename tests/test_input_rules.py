@@ -9,7 +9,8 @@ raise the typed error too.
 Array inputs (amplitudes, 4x4 matrices, stacks, times, map values and
 masks) pass one array rule, so a wrong size, a bool, string or object
 array, or a NaN where finiteness is checked raises the site's typed
-error, and an initial state that is no StateVector raises InvalidInput.
+error, and an initial state that is no StateVector, parameters that are
+no SystemParams or axes that are no Axis raise InvalidInput.
 """
 
 import warnings
@@ -36,10 +37,10 @@ from qmol.errors import (
     NumericOverflow,
     QmolError,
 )
-from qmol.hamiltonian import SystemParams
+from qmol.hamiltonian import SystemParams, build_bell, build_positional
 from qmol.linalg import expectation, hermitian_eigensolve, symmetric_eigensolve_batch
 from qmol.serialize import pgm_bytes
-from qmol.spectrum import classify_resonance
+from qmol.spectrum import classify_resonance, eigensystem, resonant_solution
 from qmol.states import StateVector, basis_state
 from qmol.sweep import (
     Axis,
@@ -272,6 +273,18 @@ _ASYMMETRIC_HUGE[0, 0, 1], _ASYMMETRIC_HUGE[0, 1, 0] = 1.7e308, -1.7e308
         (lambda: classify_resonance(_TUNNELED, tol="a"), InvalidInput),
         (lambda: classify_resonance(_TUNNELED, tol=float("nan")), InvalidInput),
         (lambda: classify_resonance(_TUNNELED, tol=-1.0), InvalidInput),
+        (lambda: eigensystem(None), InvalidInput),
+        (lambda: build_positional("x"), InvalidInput),
+        (lambda: build_bell({"j": 25.0}), InvalidInput),
+        (lambda: resonant_solution(None), InvalidInput),
+        (lambda: classify_resonance(None), InvalidInput),
+        (lambda: trajectory(None, basis_state("RL"), 1.0, 3), InvalidInput),
+        (lambda: analytic_populations(None, 1.0), InvalidInput),
+        (lambda: eigen_concurrence_map(None, 1), InvalidInput),
+        (lambda: dynamics_tunneling_map(None, 1.0, 3, 0.0, 1.0, 3, basis_state("RL")), InvalidInput),
+        (lambda: SweepGrid(None, None, [[0.0]]), InvalidInput),
+        (lambda: SweepGrid(_AX, 3, [[0.0] * 3] * 3), InvalidInput),
+        (lambda: basis_state("RL").overlap(None), InvalidInput),
     ],
 )
 def test_bad_arrays_states_and_tolerances_raise_the_sites_typed_error(call, error):
@@ -304,6 +317,7 @@ def test_bad_arrays_states_and_tolerances_raise_the_sites_typed_error(call, erro
         ),
         (lambda: pgm_bytes(np.full((2, 2), np.inf)), "values must be finite"),
         (lambda: propagate(_TUNNELED, [1, 0, 0, 0], 1.0), "psi0 must be a StateVector, got list"),
+        (lambda: eigensystem(None), "p must be a SystemParams, got NoneType"),
     ],
 )
 def test_the_array_rule_names_the_fault(call, message):

@@ -32,11 +32,7 @@ from qmol.linalg import (
     pair_flags_to_states,
     symmetric_eigensolve_batch,
 )
-
-
-def random_hermitian(rng):
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    return (g + g.conj().T) / 2.0
+from qmol.verify import _random_hermitian as random_hermitian
 
 
 def test_eigenvalues_match_numpy_on_random_matrices():

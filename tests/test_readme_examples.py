@@ -69,3 +69,15 @@ def test_readme_verify_passes_every_check(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 12
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_readme_library_quickstart_runs(capsys):
+    section = README.read_text().split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert abs(namespace["cond"].ratio - 3**0.5 / 4) < 1e-15
+    assert len(namespace["traj"].times) == 500
+    assert namespace["grid"].values.shape == (201, 201)
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 4 and abs(float(printed[2]) - 1.0) < 1e-14
