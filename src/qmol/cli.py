@@ -39,10 +39,11 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
+from math import pi
 
 import numpy as np
 
-from .dynamics import bell_condition, propagate, trajectory
+from .dynamics import MAX_PHASE, bell_condition, propagate, trajectory
 from .entanglement import concurrence_pure
 from .errors import ConfigError, InvalidInput, NoRealSolution, QmolError
 from .hamiltonian import SystemParams
@@ -113,7 +114,15 @@ def _grid(text: str) -> tuple[float, float, int]:
     return _float(parts[0]), _float(parts[1]), _int(parts[2])
 
 
-_MODEL_COMMANDS = ("spectrum", "dynamics", "sweep", "bell-times")  # all but verify
+_COMMANDS = {
+    "spectrum": "eigenvalues and eigenstate concurrences",
+    "dynamics": "time evolution of one initial state",
+    "sweep": "two-parameter concurrence map",
+    "bell-times": "maximal-entanglement condition",
+    "verify": "run the built-in invariant battery",
+}
+
+_MODEL_COMMANDS = tuple(command for command in _COMMANDS if command != "verify")
 
 #: Every key of a flag, config file or CSV header, in `--help` order: its
 #: text-to-value conversion, the commands that take it as a flag, and that
@@ -140,14 +149,6 @@ _KEYS = {
     "pgm": (str, ("sweep",), "PATH", "also write a P5 graymap"),
     "n": (_int, ("bell-times",), "N", "plus-block half-periods (default 1)"),
     "m": (_int, ("bell-times",), "M", "minus-block quarter-periods, odd (default 1)"),
-}
-
-_COMMANDS = {
-    "spectrum": "eigenvalues and eigenstate concurrences",
-    "dynamics": "time evolution of one initial state",
-    "sweep": "two-parameter concurrence map",
-    "bell-times": "maximal-entanglement condition",
-    "verify": "run the built-in invariant battery",
 }
 
 #: Keys that become SystemParams fields rather than RunConfig fields.
@@ -220,21 +221,19 @@ def _grid_text(grid: tuple[float, float, int]) -> str:
 
 
 def _metadata(config: RunConfig) -> dict:
-    p = config.params
+    kind = config.kind if config.command == "sweep" else None
     meta: dict = {"command": config.command}
-    if config.command == "sweep":
-        meta["kind"] = config.kind
-    meta |= {"j": p.j, "e1": p.eps1, "e2": p.eps2, "d1": p.delta1, "d2": p.delta2}
-    if config.command == "dynamics":
-        meta |= {"init": config.init, "tmax": config.tmax, "steps": config.steps}
-    elif config.command == "sweep":
+    if kind:
+        meta["kind"] = kind
+    meta |= {key: getattr(config.params, field) for key, field in _PARAM_FIELDS.items()}
+    if kind:
         meta["grid"] = _grid_text(_resolved_grid(config))
-        if config.kind == "eigen":
-            meta["state"] = config.state
-        else:
-            meta |= {"init": config.init, "tmax": config.tmax, "steps": config.steps}
-            if config.kind == "detuning-dynamics":
-                meta["sign"] = f"{config.sign:+d}"
+    if kind == "eigen":
+        meta["state"] = config.state
+    elif kind or config.command == "dynamics":
+        meta |= {key: getattr(config, key) for key in ("init", "tmax", "steps")}
+    if kind == "detuning-dynamics":
+        meta["sign"] = f"{config.sign:+d}"
     return meta
 
 
@@ -242,7 +241,7 @@ def config_from_metadata(meta: dict[str, str]) -> RunConfig:
     """Rebuild the RunConfig of a CSV header that holds every key `_metadata` writes."""
     try:
         command = meta.get("command")
-        if command not in ("spectrum", "dynamics", "sweep"):
+        if command not in _KEYS["out"][1]:
             why = f"command {command!r} writes no CSV" if command else "missing command"
             raise ConfigError(why)
         raw = {key: value for key, value in meta.items() if key in _KEYS}
@@ -300,7 +299,14 @@ def _sweep_grid(config: RunConfig) -> SweepGrid:
 
 def render_bell_times(config: RunConfig) -> bytes:
     condition = bell_condition(config.n, config.m, config.params.j)
-    evolved = propagate(condition.params(), basis_state("RL"), condition.t_e)
+    try:
+        evolved = propagate(condition.params(), basis_state("RL"), condition.t_e)
+    except InvalidInput:  # its phase limit, which at t_e is n * pi whatever m and j are
+        raise InvalidInput(
+            f"n = {condition.n}, m = {condition.m}: the concurrence check propagates "
+            f"through a phase of n * pi rad, which exceeds {MAX_PHASE:g} rad for "
+            f"n above {int(MAX_PHASE / pi)}"
+        ) from None
     checked = concurrence_pure(evolved)
     lines = [
         f"n = {condition.n}",

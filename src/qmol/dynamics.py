@@ -173,7 +173,7 @@ def _concurrence_rows(energies, vectors, amps0, times) -> np.ndarray:
     norms = np.abs((coeffs * coeffs.conj()).real.sum(axis=-1) - 1.0).max()
     # written so that NaN fails it
     if not (gram <= _UNITARY_TOL and norms <= _UNITARY_TOL):
-        raise ConvergenceError("propagation lost normalization beyond 1e-10")
+        raise ConvergenceError(f"propagation lost normalization beyond {_POP_SUM_TOL}")
     return _pair_concurrence(vectors, *tables, times.shape[0])
 
 
@@ -457,7 +457,7 @@ class Trajectory:
         sums += p[:, 3]
         # written so that NaN fails it
         if not float(np.abs(sums - 1.0).max()) <= _POP_SUM_TOL:
-            raise ConvergenceError("propagation lost normalization beyond 1e-10")
+            raise ConvergenceError(f"propagation lost normalization beyond {_POP_SUM_TOL}")
         for field, array in arrays.items():
             array.setflags(write=False)
             object.__setattr__(self, field, array)

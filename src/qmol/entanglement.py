@@ -33,7 +33,7 @@ from .errors import (
     NumericOverflow,
     _checked_array,
 )
-from .linalg import _hermitian_eigenvalues, _pivoted_cholesky
+from .linalg import _HERM_TOL, _hermitian_eigenvalues, _pivoted_cholesky
 from .states import StateVector, _check_unit_norm
 
 __all__ = [
@@ -104,7 +104,7 @@ def _check_trace(rho: np.ndarray) -> None:
     except OverflowError:  # a complex trace whose modulus is no double
         bad = True
     if bad:
-        raise InvalidDensityMatrix(f"trace is {trace!r}, expected 1 within 1e-12")
+        raise InvalidDensityMatrix(f"trace is {trace!r}, expected 1 within {_TRACE_TOL}")
 
 
 def concurrence(rho: np.ndarray) -> ConcurrenceResult:
@@ -128,7 +128,7 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
         if not np.isfinite(rho).all():
             raise InvalidDensityMatrix("density matrix contains NaN or Inf") from None
         raise InvalidDensityMatrix(
-            "density matrix is not Hermitian within 1e-12"
+            f"density matrix is not Hermitian within {_HERM_TOL}"
         ) from None
     except NumericOverflow:
         # a modulus beyond the double range: a bad trace is reported first

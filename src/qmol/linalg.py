@@ -380,7 +380,7 @@ def _jacobi(
                         vi[p] = c * vip + sphc * viq
                         vi[q] = c * viq - sph * vip
         else:
-            raise ConvergenceError("Jacobi iteration did not converge in 60 sweeps")
+            raise ConvergenceError(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
     return [a[k][k].real for k in range(4)], v, norm, exp, big
 
 
@@ -488,7 +488,7 @@ def _jacobi_lanes(h: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarr
         for p, q in _PAIRS:
             _rotate_lanes(a, v, p, q, skip)
     else:
-        raise ConvergenceError("Jacobi iteration did not converge in 60 sweeps")
+        raise ConvergenceError(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
     return values, vectors
 
 

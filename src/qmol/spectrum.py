@@ -136,10 +136,8 @@ class ResonantSolution:
         )
 
 
-def _branch(
-    j: float, delta: float, coupling: float, psi_row: int, phi_row: int
-) -> ResonantBranch:
-    """One Bell block; NumericOverflow if its beta does not fit a double."""
+def _branch(j: float, delta: float, sign: float, psi_row: int, phi_row: int) -> ResonantBranch:
+    """The Bell block of coupling sign * delta; NumericOverflow if its beta overflows."""
     beta = hypot(j, 4.0 * delta)
     if not isfinite(beta):
         raise NumericOverflow(
@@ -148,10 +146,10 @@ def _branch(
         )
     # (beta - j) / (4*delta) as 4*delta / (beta + j), without the
     # cancellation in beta - j, from ratios no larger than 1; both vanish
-    # with delta, with no division by it.  |coupling| = |delta|.
+    # with delta, with no division by it
     sum_ratio = 1.0 + j / beta  # (beta + j) / beta, in (1, 2]
     mixing = 4.0 * delta / beta / sum_ratio
-    tilt = -4.0 * coupling / beta / sum_ratio
+    tilt = -sign * mixing
     gamma = 1.0 / sqrt(1.0 + mixing * mixing)
     psi = BELL_MATRIX[psi_row]
     phi = BELL_MATRIX[phi_row]
@@ -182,12 +180,8 @@ def resonant_solution(p: SystemParams) -> ResonantSolution:
             f"closed-form solution needs eps1 = eps2 = 0 exactly, got "
             f"({p.eps1!r}, {p.eps2!r})"
         )
-    minus = _branch(
-        p.j, p.delta_minus, (p.delta2 - p.delta1) / 2.0, psi_row=0, phi_row=1
-    )
-    plus = _branch(
-        p.j, p.delta_plus, (p.delta1 + p.delta2) / 2.0, psi_row=2, phi_row=3
-    )
+    minus = _branch(p.j, p.delta_minus, -1.0, psi_row=0, phi_row=1)
+    plus = _branch(p.j, p.delta_plus, 1.0, psi_row=2, phi_row=3)
     return ResonantSolution(minus=minus, plus=plus)
 
 

@@ -170,6 +170,7 @@ def dynamics_tunneling_map(
 
     Raises:
         NotResonant: unless both base detunings are exactly zero.
+        InvalidInput: for a t_steps or t_max that `trajectory` rejects, in its words.
     """
     _checked_type(base, SystemParams, "base")
     if base.eps1 != 0.0 or base.eps2 != 0.0:
@@ -177,7 +178,7 @@ def dynamics_tunneling_map(
             f"tunneling-ratio map requires detunings e1 = e2 = 0 exactly, "
             f"got ({base.eps1!r}, {base.eps2!r})"
         )
-    x_axis = Axis("t", 0.0, t_max, t_steps, "ns")
+    x_axis = _time_axis(t_max, t_steps)
     y_axis = Axis("ratio", ratio_min, ratio_max, ratio_steps, "")
 
     def couplings(ratios: np.ndarray) -> tuple:
@@ -212,11 +213,17 @@ def dynamics_detuning_map(
             f"detuning map requires delta1 == delta2, got "
             f"({base.delta1!r}, {base.delta2!r})"
         )
-    x_axis = Axis("t", 0.0, t_max, t_steps, "ns")
+    x_axis = _time_axis(t_max, t_steps)
     y_axis = Axis("eps1", eps_min, eps_max, eps_steps, "ueV")
     return _dynamics_map(
         x_axis, y_axis, psi0, lambda e1: (e1, sign * e1, base.delta1, base.delta2, base.j)
     )
+
+
+def _time_axis(t_max, t_steps) -> Axis:
+    """The time axis of a dynamics map, its arguments checked as `trajectory` checks them."""
+    steps = _checked_int(t_steps, "steps", 2)
+    return Axis("t", 0.0, _checked_float(t_max, "tmax", "positive"), steps, "ns")
 
 
 def _dynamics_map(x_axis: Axis, y_axis: Axis, psi0: StateVector, couplings) -> SweepGrid:

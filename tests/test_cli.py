@@ -229,6 +229,17 @@ def test_bell_times_beyond_the_double_range_exits_with_one_error_line(n, m, expe
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_bell_times_past_the_phase_limit_names_n_m_and_the_bound(capsys):
+    # the phase at t_e is n * pi, so n = 31830988 is the last order that answers
+    code, out, err = run(capsys, "bell-times", "--n", "31830989", "--m", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: n = 31830989, m = 1: the concurrence check propagates through a "
+        "phase of n * pi rad, which exceeds 1e+08 rad for n above 31830988\n"
+    )
+    assert run(capsys, "bell-times", "--n", "31830988", "--m", "1")[0] == 0
+
+
 def test_bell_times_rejects_even_m(capsys):
     code, _, _ = run(capsys, "bell-times", "--n", "2", "--m", "2")
     assert code == 2
@@ -596,6 +607,17 @@ def test_library_argument_checks_exit_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--steps", "1"), ("--steps", "-3"), ("--tmax", "0"), ("--tmax", "-1"), ("--tmax", "inf")],
+)
+@pytest.mark.parametrize("kind", ["tunneling-dynamics", "detuning-dynamics"])
+def test_dynamic_sweeps_report_their_time_grid_as_dynamics_does(kind, flag, value, capsys):
+    expected = run(capsys, "dynamics", flag, value)
+    assert expected[0] == 2
+    assert run(capsys, "sweep", kind, flag, value) == expected
 
 
 def test_spectrum_out_file_matches_stdout(tmp_path, capsys):

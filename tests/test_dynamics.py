@@ -359,7 +359,9 @@ def test_bell_condition_parameters_generate_bell_state(n, m):
     assert concurrence_pure(evolved) >= 1.0 - 1e-9
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (3, 1)])
+@pytest.mark.parametrize(
+    "n,m", [(n, m) for n in range(1, 5) for m in range(1, 2 * n, 2)]
+)
 def test_swap_and_revival_times(n, m):
     bc = bell_condition(n, m, 25.0)
     p = bc.params()

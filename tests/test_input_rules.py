@@ -88,6 +88,40 @@ def test_steps_that_are_no_integer_of_at_least_2_are_invalid_input(steps):
         trajectory(_TUNNELED, basis_state("RL"), 1.0, steps)
 
 
+@pytest.mark.parametrize(
+    "t_max, t_steps, message",
+    [
+        (1.0, 1, r"^steps must be an integer >= 2, got 1$"),
+        (1.0, 2.0, r"^steps must be an integer >= 2, got 2\.0$"),
+        (1.0, True, r"^steps must be an integer >= 2, got True$"),
+        (0.0, 3, r"^tmax must be positive and finite, got 0\.0$"),
+        (-1.0, 3, r"^tmax must be positive and finite, got -1\.0$"),
+        (float("inf"), 3, r"^tmax must be positive and finite, got inf$"),
+        ("1", 3, r"^tmax must be positive and finite, got '1'$"),
+    ],
+    ids=["steps=1", "steps=2.0", "steps=True", "tmax=0", "tmax=-1", "tmax=inf", "tmax='1'"],
+)
+@pytest.mark.parametrize(
+    "dynamics_map",
+    [
+        lambda t_max, t_steps: dynamics_tunneling_map(
+            SystemParams(j=25.0), t_max, t_steps, 0.0, 1.0, 2, basis_state("RL")
+        ),
+        lambda t_max, t_steps: dynamics_detuning_map(
+            _TUNNELED, t_max, t_steps, -1.0, 1.0, 2, basis_state("RL"), 1
+        ),
+    ],
+    ids=["tunneling", "detuning"],
+)
+def test_dynamics_maps_check_their_time_grid_as_trajectory_does(
+    dynamics_map, t_max, t_steps, message
+):
+    with pytest.raises(InvalidInput, match=message):
+        dynamics_map(t_max, t_steps)
+    with pytest.raises(InvalidInput, match=message):
+        trajectory(_TUNNELED, basis_state("RL"), t_max, t_steps)
+
+
 @pytest.mark.parametrize("n, m", [(True, 1), (1, True), (np.int64(1), 0)])
 def test_bell_orders_that_are_no_positive_integers_are_invalid_input(n, m):
     with pytest.raises(InvalidInput, match=r"^[nm] must be an integer >= 1, got "):

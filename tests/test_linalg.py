@@ -396,9 +396,9 @@ def test_batch_rejects_bad_input():
 def test_both_kernels_raise_when_sweeps_run_out(monkeypatch):
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
     h = random_symmetric(np.random.default_rng(4), 5)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="^Jacobi iteration did not converge in 1 sweeps$"):
         hermitian_eigensolve(h[0])
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="^Jacobi iteration did not converge in 1 sweeps$"):
         symmetric_eigensolve_batch(h)
 
 
@@ -751,7 +751,7 @@ def test_every_single_solve_raises_when_sweeps_run_out(monkeypatch):
     real = random_symmetric(np.random.default_rng(4), 1)[0]
     complex_ = random_hermitian(np.random.default_rng(5))
     for m in (real, real.astype(complex), complex_):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=" did not converge in 1 sweeps$"):
             hermitian_eigensolve(m)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=" did not converge in 1 sweeps$"):
             _hermitian_eigenvalues(m)

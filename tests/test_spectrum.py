@@ -1,8 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from qmol.entanglement import concurrence_pure
 from qmol.errors import NotResonant, NumericOverflow
 from qmol.hamiltonian import SystemParams, build_positional
 from qmol.spectrum import (
@@ -12,6 +14,7 @@ from qmol.spectrum import (
     resonant_solution,
 )
 from qmol.states import basis_state
+from qmol.verify import _random_params
 
 # beta/4 = sqrt(j^2 + 16 d^2)/4 evaluated independently for j=25, d=25/16
 E_PLUS_J16 = 6.442352540027595
@@ -55,6 +58,53 @@ def test_resonant_states_are_true_eigenvectors():
         for energy, state in zip(sol.energies, sol.states):
             resid = h @ state.amplitudes - energy * state.amplitudes
             assert np.abs(resid).max() < 1e-10
+
+
+def _block_concurrences(p):
+    """C = j / beta of both eigenstates of each Bell block, with delta from SystemParams."""
+    return {
+        block: p.j / math.hypot(p.j, 4.0 * delta)
+        for block, delta in (("minus", p.delta_minus), ("plus", p.delta_plus))
+    }
+
+
+def test_resonant_eigenstate_concurrence_is_j_over_beta():
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        p = _random_params(rng, resonant=True)
+        sol = resonant_solution(p)
+        for block, expected in _block_concurrences(p).items():
+            branch = getattr(sol, block)
+            for state in (branch.state_low, branch.state_high):
+                assert abs(concurrence_pure(state) - expected) <= 1e-13
+
+
+def test_numeric_eigenstate_concurrence_is_j_over_beta():
+    # energies -+beta/4 of each block: the outer pair of states belongs to
+    # the block of larger beta, so of smaller concurrence
+    rng = np.random.default_rng(32)
+    checked = 0
+    for _ in range(2000):
+        p = _random_params(rng, resonant=True)
+        low, high = sorted(_block_concurrences(p).values())
+        system = eigensystem(p)
+        for state, expected, flagged in zip(
+            system.states, (low, high, high, low), system.degenerate_states
+        ):
+            if not flagged:
+                assert abs(concurrence_pure(state) - expected) <= 1e-13
+                checked += 1
+    assert checked > 7900
+
+
+@pytest.mark.parametrize("delta2", [5e-324, -5e-324])
+def test_resonant_solution_at_subnormal_scale_gives_orthonormal_states(delta2):
+    # delta1/2 and delta2/2 round to zero, as in build_positional, but their
+    # sum and difference do not: each state's tilt must come from the same
+    # block coupling as its normalization, or its norm is sqrt(5)
+    sol = resonant_solution(SystemParams(j=5e-324, delta1=5e-324, delta2=delta2))
+    vectors = np.column_stack([state.amplitudes for state in sol.states])
+    assert np.abs(vectors.conj().T @ vectors - np.eye(4)).max() <= 1e-15
 
 
 def test_numeric_eigenvectors_overlap_closed_form():
