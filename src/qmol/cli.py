@@ -217,7 +217,7 @@ def _resolved_grid(config: RunConfig) -> tuple[float, float, int]:
 
 
 def _grid_text(grid: tuple[float, float, int]) -> str:
-    return f"{grid[0]!r}:{grid[1]!r}:{grid[2]}"
+    return f"{float(grid[0])!r}:{float(grid[1])!r}:{grid[2]}"
 
 
 def _metadata(config: RunConfig) -> dict:

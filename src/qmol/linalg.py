@@ -453,20 +453,21 @@ def symmetric_eigensolve_batch(
 def _jacobi_lanes(h: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unsorted eigenvalues (4, N) and eigenvectors (4, 4, N) of a checked stack.
 
-    a[i][j] holds entry (i, j) of every unconverged matrix as one array,
-    with a[j][i] the same object; v[i, j] likewise for the eigenvectors.
-    Both results are lane-major, as the iteration holds them: values[k, n]
-    is diagonal entry k of lane n, and vectors[:, k, n] its eigenvector.
-    Converged lanes are copied out and dropped at the start of a sweep.
+    a[i][j] holds entry (i, j) of every matrix as one array, with a[j][i]
+    the same object; v[i, j] likewise for the eigenvectors.  Both results
+    are lane-major, as the iteration holds them: values[k, n] is diagonal
+    entry k of lane n, and vectors[:, k, n] its eigenvector.  A lane that
+    has converged at the start of a sweep gets an infinite skip, so it
+    takes no further rotation and keeps the entries the scalar kernel
+    stops at.
     """
-    n = h.shape[0]
-    values = np.empty((4, n))
-    vectors = np.empty((4, 4, n))
-    a = _symmetric_lanes(np.ascontiguousarray(h.transpose(1, 2, 0)), slice(None))
-    v = np.zeros((4, 4, n))
+    entries = np.ascontiguousarray(h.transpose(1, 2, 0))
+    a: list[list] = [[None] * 4 for _ in range(4)]
+    for i, j in _UPPER:
+        a[i][j] = a[j][i] = entries[i, j]
+    v = np.zeros((4, 4, h.shape[0]))
     for k in range(4):
         v[k, k] = 1.0
-    lanes = np.arange(n)
     threshold = _OFF_TOL * norm
     skip = threshold / 8.0
     for _ in range(_MAX_SWEEPS):
@@ -474,31 +475,14 @@ def _jacobi_lanes(h: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarr
         for p, q in _PAIRS[1:]:
             off = off + a[p][q] * a[p][q]
         done = np.sqrt(2.0 * off) <= threshold
-        if done.any():
-            out = lanes[done]
-            for k in range(4):
-                values[k, out] = a[k][k][done]
-            vectors[:, :, out] = v[:, :, done]
-            keep = ~done
-            lanes, threshold, skip = lanes[keep], threshold[keep], skip[keep]
-            a = _symmetric_lanes(a, keep)
-            v = v[:, :, keep]
-        if not lanes.size:
+        if done.all():
             break
+        skip[done] = np.inf
         for p, q in _PAIRS:
             _rotate_lanes(a, v, p, q, skip)
     else:
         raise ConvergenceError(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
-    return values, vectors
-
-
-def _symmetric_lanes(a, keep) -> list[list[np.ndarray]]:
-    """a restricted to the lanes `keep`, sharing a[i][j] with a[j][i]."""
-    out: list[list] = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i, 4):
-            out[i][j] = out[j][i] = a[i][j][keep]
-    return out
+    return np.array([a[k][k] for k in range(4)]), v
 
 
 def _rotate_lanes(

@@ -91,10 +91,10 @@ def fmt6(x: float) -> str:
 
 
 def _meta_value(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         raise TypeError("boolean metadata is ambiguous; use explicit strings")
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # np.float64 too, which would repr as np.float64(...)
+        return repr(float(v))
     return str(v)
 
 

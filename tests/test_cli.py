@@ -661,6 +661,19 @@ def test_main_builds_one_parser_and_keeps_no_values_between_calls(monkeypatch, c
     assert build_parser() is not build_parser()
 
 
+def test_numpy_floats_write_the_header_python_floats_write():
+    """A config holding np.float64 values writes plain floats, which rerun."""
+    dynamics = RunConfig("dynamics", SystemParams(), tmax=np.float64(1.0))
+    sweep = RunConfig("sweep", SystemParams(), grid=(np.float64(-25.0), np.float64(25.0), 5))
+    for config, render, line in (
+        (dynamics, render_dynamics, "# tmax = 1.0"),
+        (sweep, lambda c: render_sweep(c)[0], "# grid = -25.0:25.0:5"),
+    ):
+        text = render(config).decode("ascii")
+        assert line in text.splitlines()
+        assert render(config_from_metadata(parse_metadata(text))) == text.encode("ascii")
+
+
 def test_config_from_metadata_round_trip_values():
     config = RunConfig(
         command="sweep",

@@ -61,6 +61,8 @@ def test_parse_metadata_skips_comment_lines_without_a_key():
 def test_metadata_rejects_boolean():
     with pytest.raises(TypeError):
         metadata_lines({"flag": True})
+    with pytest.raises(TypeError):
+        metadata_lines({"flag": np.True_})
 
 
 def test_table_csv_layout():
