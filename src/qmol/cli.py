@@ -12,8 +12,10 @@ Parameter precedence is command-line flags over config-file keys over
 defaults (j = 25 ueV, detunings and tunnelings 0).  Config files are
 line-oriented `key = value` text with `#` comments.  Every CSV starts
 with the `# key = value` header `_metadata` writes, which reruns only
-if it holds all of its keys; exit codes are 0 (ok), 2 (bad input),
-3 (numeric failure), 4 (no solution), 141 (output pipe closed).
+if it holds all of its keys.  Exit codes are 0 (ok), 141 (output pipe
+closed), and for an error one row of `_EXIT_CODES`, read by one `except`
+clause: 2 (bad input: InvalidInput or OSError), 4 (no solution:
+NoRealSolution) or 3 (any other QmolError, a numeric failure).
 Flags, config-file keys and CSV-header keys are declared in one table,
 `_KEYS`, and read by one function, `_run_config`, which only converts
 text; each range is checked by the library function that uses the value.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import stat
 import sys
 from dataclasses import dataclass
@@ -62,6 +65,8 @@ from .verify import run_all
 __all__ = ["RunConfig", "main", "build_config", "config_from_metadata"]
 
 SWEEP_KINDS = ("eigen", "tunneling-dynamics", "detuning-dynamics")
+#: The exit code of each error `main` reports: that of the first row it is an instance of.
+_EXIT_CODES = ((InvalidInput, 2), (OSError, 2), (NoRealSolution, 4), (QmolError, 3))
 
 
 @dataclass(frozen=True)
@@ -356,6 +361,12 @@ def _emit(data: bytes, path: str | None) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that reads as a negative number is a value, not a flag:
+        # argparse's own pattern misses the exponent form, as in -1e-3
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def print_help(self, file=None):
         # argparse's own print drops an OSError, so that help into a closed
         # pipe would exit 0; main reports it as the other writes
@@ -417,15 +428,9 @@ def main(argv: list[str] | None = None) -> int:
         # exit quietly as if killed by SIGPIPE; /dev/null takes the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (InvalidInput, OSError) as exc:
+    except (QmolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoRealSolution as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except QmolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

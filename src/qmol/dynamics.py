@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _POP_SUM_TOL = 1e-10
+_LOST_NORMALIZATION = "propagation lost normalization beyond {}"
 #: Map rows check |V^T V - I|_max of their real V and ||c|^2 - 1| against this,
 #: which bounds their populations' sums as _POP_SUM_TOL does (see `_concurrence_rows`).
 _UNITARY_TOL = 2e-11
@@ -173,7 +174,7 @@ def _concurrence_rows(energies, vectors, amps0, times) -> np.ndarray:
     norms = np.abs((coeffs * coeffs.conj()).real.sum(axis=-1) - 1.0).max()
     # written so that NaN fails it
     if not (gram <= _UNITARY_TOL and norms <= _UNITARY_TOL):
-        raise ConvergenceError(f"propagation lost normalization beyond {_POP_SUM_TOL}")
+        raise ConvergenceError(_LOST_NORMALIZATION.format(_POP_SUM_TOL))
     return _pair_concurrence(vectors, *tables, times.shape[0])
 
 
@@ -288,10 +289,7 @@ def analytic_populations(p: SystemParams, t):
             exceeds MAX_PHASE.
         NotResonant: if either detuning is nonzero (from `resonant_solution`).
     """
-    try:
-        t = _checked_array(t, "times", finite=True)
-    except InvalidInput:  # one message for every fault
-        raise InvalidInput("times must be finite") from None
+    t = _checked_array(t, "times", finite=True)
     solution = resonant_solution(p)
     beta_p = solution.plus.beta
     beta_m = solution.minus.beta
@@ -457,7 +455,7 @@ class Trajectory:
         sums += p[:, 3]
         # written so that NaN fails it
         if not float(np.abs(sums - 1.0).max()) <= _POP_SUM_TOL:
-            raise ConvergenceError(f"propagation lost normalization beyond {_POP_SUM_TOL}")
+            raise ConvergenceError(_LOST_NORMALIZATION.format(_POP_SUM_TOL))
         for field, array in arrays.items():
             array.setflags(write=False)
             object.__setattr__(self, field, array)

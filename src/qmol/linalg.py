@@ -76,6 +76,10 @@ _SORT_NETWORK = (0, 1, 2, 0, 1, 0)
 # (1e-14 * max|m_ij| / 8)**2 >= 2**-1022, i.e. max|m_ij| >= 2**-461.49...
 _SCALE_MIN = 2.0**-461
 _SCALE_MAX = 2.0**500
+# the texts both kernels raise; the sweep count is filled in at the raise
+_NONFINITE = "matrix contains NaN or Inf entries"
+_NOT_HERMITIAN = "matrix is not Hermitian within tolerance"
+_UNCONVERGED = "Jacobi iteration did not converge in {} sweeps"
 
 
 def expectation(m: np.ndarray, psi: np.ndarray) -> float:
@@ -134,12 +138,12 @@ def _checked_max_abs(m: np.ndarray) -> np.ndarray:
     is symmetric within 1e-12 * max(1, max |m_ij|).
     """
     if not np.isfinite(m).all():
-        raise NonHermitianInput("matrix contains NaN or Inf entries")
+        raise NonHermitianInput(_NONFINITE)
     big = np.abs(m).max(axis=(-2, -1))
     with np.errstate(over="ignore"):  # a difference beyond the double range is inf
         asym = np.abs(m - np.swapaxes(m, -2, -1)).max(axis=(-2, -1))
     if np.any(asym > _HERM_TOL * np.maximum(1.0, big)):
-        raise NonHermitianInput("matrix is not Hermitian within tolerance")
+        raise NonHermitianInput(_NOT_HERMITIAN)
     return big
 
 
@@ -220,7 +224,7 @@ def hermitian_eigensolve(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors, degenerate_pairs=flags)
 
 
-def _hermitian_eigenvalues(m: np.ndarray, off_tol: float = _OFF_TOL) -> np.ndarray:
+def _hermitian_eigenvalues(m: np.ndarray, off_tol: float | None = None) -> np.ndarray:
     """`hermitian_eigensolve(m).values`, bit for bit, without the eigenvectors.
 
     A smaller off_tol runs the iteration on until the off-diagonal norm is
@@ -292,7 +296,7 @@ def _max_abs(a: list[list]) -> float:
     """
     flat = [x for row in a for x in row]
     if not all(map(isfinite, flat)):
-        raise NonHermitianInput("matrix contains NaN or Inf entries")
+        raise NonHermitianInput(_NONFINITE)
     try:
         big = max(map(abs, flat))
     except OverflowError:  # a complex entry whose modulus is not a double
@@ -303,20 +307,20 @@ def _max_abs(a: list[list]) -> float:
     except OverflowError:  # a difference far beyond the bound
         hermitian = False
     if not hermitian:
-        raise NonHermitianInput("matrix is not Hermitian within tolerance")
+        raise NonHermitianInput(_NOT_HERMITIAN)
     return big
 
 
 def _jacobi(
-    m: np.ndarray, vectors: bool, off_tol: float = _OFF_TOL
+    m: np.ndarray, vectors: bool, off_tol: float | None = None
 ) -> tuple[list, list | None, float, int, float]:
     """The cyclic Jacobi iteration on one checked matrix.
 
     The iteration stops once the off-diagonal norm is at most
-    off_tol * |m|_F.  Returns the final diagonal (unsorted, at the
-    iteration's scale), the eigenvector rows (None unless `vectors`), the
-    norm the tolerances are relative to, the scale exponent and the
-    largest |m_ij|.
+    off_tol * |m|_F, None meaning _OFF_TOL as read at the call.  Returns
+    the final diagonal (unsorted, at the iteration's scale), the
+    eigenvector rows (None unless `vectors`), the norm the tolerances are
+    relative to, the scale exponent and the largest |m_ij|.
     """
     m = _checked_array(m, "m", (4, 4), complex, NonHermitianInput)
     kind = complex if m.imag.any() else float
@@ -333,7 +337,7 @@ def _jacobi(
     zero = kind(0)
 
     if norm > 0.0:
-        threshold = off_tol * norm
+        threshold = (_OFF_TOL if off_tol is None else off_tol) * norm
         skip = threshold / 8.0
         for _ in range(_MAX_SWEEPS):
             off = 0.0
@@ -380,7 +384,7 @@ def _jacobi(
                         vi[p] = c * vip + sphc * viq
                         vi[q] = c * viq - sph * vip
         else:
-            raise ConvergenceError(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
+            raise ConvergenceError(_UNCONVERGED.format(_MAX_SWEEPS))
     return [a[k][k].real for k in range(4)], v, norm, exp, big
 
 
@@ -481,7 +485,7 @@ def _jacobi_lanes(h: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarr
         for p, q in _PAIRS:
             _rotate_lanes(a, v, p, q, skip)
     else:
-        raise ConvergenceError(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
+        raise ConvergenceError(_UNCONVERGED.format(_MAX_SWEEPS))
     return np.array([a[k][k] for k in range(4)]), v
 
 

@@ -167,6 +167,12 @@ def _branch(j: float, delta: float, sign: float, psi_row: int, phi_row: int) -> 
     )
 
 
+def _check_resonant(p: SystemParams, what: str) -> None:
+    """NotResonant, naming `what`, unless both detunings of p are exactly zero."""
+    if p.eps1 != 0.0 or p.eps2 != 0.0:
+        raise NotResonant(f"{what} needs e1 = e2 = 0 exactly, got ({p.eps1!r}, {p.eps2!r})")
+
+
 def resonant_solution(p: SystemParams) -> ResonantSolution:
     """Exact eigenpairs of both Bell blocks; requires eps1 = eps2 = 0 exactly.
 
@@ -174,12 +180,7 @@ def resonant_solution(p: SystemParams) -> ResonantSolution:
         NotResonant: if either detuning is nonzero, however small.
         NumericOverflow: if a block's beta does not fit a double.
     """
-    _checked_type(p, SystemParams, "p")
-    if p.eps1 != 0.0 or p.eps2 != 0.0:
-        raise NotResonant(
-            f"closed-form solution needs eps1 = eps2 = 0 exactly, got "
-            f"({p.eps1!r}, {p.eps2!r})"
-        )
+    _check_resonant(_checked_type(p, SystemParams, "p"), "closed-form solution")
     minus = _branch(p.j, p.delta_minus, -1.0, psi_row=0, phi_row=1)
     plus = _branch(p.j, p.delta_plus, 1.0, psi_row=2, phi_row=3)
     return ResonantSolution(minus=minus, plus=plus)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import _check_output_size, _concurrence_rows, _positional
 from .entanglement import _flip_form
-from .errors import InvalidInput, NotResonant, QmolError
+from .errors import InvalidInput, QmolError
 from .errors import _checked_array, _checked_float, _checked_int, _checked_type
 from .hamiltonian import SystemParams, _positional_matrices
 from .linalg import pair_flags_to_states, symmetric_eigensolve_batch
@@ -26,6 +26,7 @@ from .linalg import pair_flags_to_states, symmetric_eigensolve_batch
 # Unused here since eigen maps solve in batches, but bench/test_bench.py
 # checks that tracing patches and restores this module attribute.
 from .linalg import hermitian_eigensolve  # noqa: F401
+from .spectrum import _check_resonant
 from .states import StateVector
 
 __all__ = [
@@ -172,12 +173,7 @@ def dynamics_tunneling_map(
         NotResonant: unless both base detunings are exactly zero.
         InvalidInput: for a t_steps or t_max that `trajectory` rejects, in its words.
     """
-    _checked_type(base, SystemParams, "base")
-    if base.eps1 != 0.0 or base.eps2 != 0.0:
-        raise NotResonant(
-            f"tunneling-ratio map requires detunings e1 = e2 = 0 exactly, "
-            f"got ({base.eps1!r}, {base.eps2!r})"
-        )
+    _check_resonant(_checked_type(base, SystemParams, "base"), "tunneling-ratio map")
     x_axis = _time_axis(t_max, t_steps)
     y_axis = Axis("ratio", ratio_min, ratio_max, ratio_steps, "")
 

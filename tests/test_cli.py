@@ -428,6 +428,20 @@ def test_flags_a_command_does_not_take_exit_2(argv, capsys):
     assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-1.5e-3", "-2E+1", "-.5e1"])
+def test_a_negative_number_in_exponent_form_is_a_flag_value(value, capsys):
+    # argparse reads -1000 and -1.5 as values, and once read -1e-3 as a flag
+    numeric = [
+        (key, commands[0]) for key, (convert, commands, _, _) in qmol.cli._KEYS.items()
+        if convert in (qmol.cli._float, qmol.cli._int)
+    ]
+    assert len(numeric) == 12
+    for key, command in numeric:
+        spaced = run(capsys, command, f"--{key}", value)
+        assert spaced == run(capsys, command, f"--{key}={value}"), key
+    assert run(capsys, "spectrum", "--e1", value)[0] == 0
+
+
 def test_every_default_a_help_line_names_is_the_default():
     # defaults live in RunConfig and SystemParams; help text only repeats them
     fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}

@@ -196,7 +196,8 @@ def test_scalars_that_are_no_finite_real_numbers_are_invalid_input(call):
         (lambda: SystemParams(delta1=True), "delta1 must be finite, got True"),
         (lambda: Axis("x", 0.0, "1", 3, ""), "axis 'x' maximum must be finite, got '1'"),
         (lambda: propagate(_TUNNELED, _PSI, None), "t must be nonnegative and finite, got None"),
-        (lambda: analytic_populations(_TUNNELED, "1"), "times must be finite"),
+        (lambda: analytic_populations(_TUNNELED, "1"),
+         "times must be an array of real numbers, got dtype <U1"),
     ],
 )
 def test_the_float_rule_names_the_parameter_and_the_value(call, message):

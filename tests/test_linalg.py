@@ -746,6 +746,30 @@ def test_both_kernels_reject_the_same_real_matrices():
     assert 50 < rejected < len(cases) - 50
 
 
+def test_every_solve_reads_the_stop_tolerance_at_the_call(monkeypatch):
+    """_OFF_TOL patched at run time moves the stop of all three solves.  No
+    off-diagonal norm exceeds |m|_F, so at _OFF_TOL = 1 each stops before
+    its first rotation and returns the sorted diagonal with permuted unit
+    vectors; an explicit off_tol, as `concurrence`'s Gram solve passes,
+    keeps its own stop."""
+    real = random_symmetric(np.random.default_rng(6), 1)[0]
+    complex_ = random_hermitian(np.random.default_rng(7))
+    explicit = [_hermitian_eigenvalues(m) for m in (real, complex_)]
+    monkeypatch.setattr(linalg, "_OFF_TOL", 1.0)
+    for m, values in zip((real, complex_), explicit):
+        order = np.argsort(m.diagonal().real, kind="stable")
+        diagonal = m.diagonal().real[order]
+        dec = hermitian_eigensolve(m)
+        assert np.array_equal(dec.values, diagonal)
+        assert np.array_equal(dec.vectors, np.eye(4)[:, order])
+        assert np.array_equal(_hermitian_eigenvalues(m), diagonal)
+        assert np.array_equal(_hermitian_eigenvalues(m, off_tol=_OFF_TOL), values)
+    batch_values, batch_vectors, _ = symmetric_eigensolve_batch(real[None])
+    order = np.argsort(real.diagonal(), kind="stable")
+    assert np.array_equal(batch_values[0], real.diagonal()[order])
+    assert np.array_equal(batch_vectors[0], np.eye(4)[:, order])
+
+
 def test_every_single_solve_raises_when_sweeps_run_out(monkeypatch):
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
     real = random_symmetric(np.random.default_rng(4), 1)[0]

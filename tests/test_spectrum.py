@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qmol.dynamics import analytic_populations
 from qmol.entanglement import concurrence_pure
 from qmol.errors import NotResonant, NumericOverflow
 from qmol.hamiltonian import SystemParams, build_positional
@@ -14,6 +15,7 @@ from qmol.spectrum import (
     resonant_solution,
 )
 from qmol.states import basis_state
+from qmol.sweep import dynamics_tunneling_map
 from qmol.verify import _random_params
 
 # beta/4 = sqrt(j^2 + 16 d^2)/4 evaluated independently for j=25, d=25/16
@@ -211,6 +213,21 @@ def test_requires_full_resonance():
     # a detuning below classify_resonance's tolerance still counts
     with pytest.raises(NotResonant):
         resonant_solution(SystemParams(eps2=1e-300, delta1=2.0, delta2=2.0))
+
+
+def test_every_closed_form_route_takes_one_resonance_check_naming_its_caller():
+    detuned = SystemParams(eps2=1e-300, delta1=2.0, delta2=2.0)
+    routes = [
+        ("closed-form solution", lambda: resonant_solution(detuned)),
+        ("closed-form solution", lambda: analytic_populations(detuned, 1.0)),
+        ("tunneling-ratio map", lambda: dynamics_tunneling_map(
+            detuned, 1.0, 3, 0.0, 1.0, 3, basis_state("RL")
+        )),
+    ]
+    for caller, route in routes:
+        with pytest.raises(NotResonant) as info:
+            route()
+        assert str(info.value) == f"{caller} needs e1 = e2 = 0 exactly, got (0.0, 1e-300)"
 
 
 def test_degeneracy_flags_at_zero_tunneling():

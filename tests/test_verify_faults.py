@@ -4,12 +4,16 @@ Each row patches one module attribute, as a later change could plausibly
 get it wrong, and asserts that the battery fails.  Rows the battery does
 not catch yet are strict xfails, each naming the ROADMAP item whose rows
 will catch it; a row that starts to fail the battery must lose its marker.
+A fault that one of the library's own checks stops first, so that the
+battery raises instead of failing a row, has a test of its own below.
 """
+
+from math import sqrt
 
 import numpy as np
 import pytest
 
-from qmol import dynamics, hamiltonian, linalg, sweep, verify
+from qmol import cli, dynamics, entanglement, hamiltonian, linalg, sweep, verify
 
 
 def _phase_arguments_scaled(monkeypatch):
@@ -28,6 +32,29 @@ def _j_scaled(monkeypatch):
 
     for module in (hamiltonian, sweep):
         monkeypatch.setattr(module, "_positional_matrices", scaled)
+
+
+def _flip_form_sign(monkeypatch):
+    # every binding: concurrence_pure takes entanglement's, the eigen-map
+    # cells sweep's and the pair table dynamics'
+    def flipped(a, b):
+        return (a[1] * b[2] + a[2] * b[1]) + (a[0] * b[3] + a[3] * b[0])
+
+    for module in (entanglement, sweep, dynamics):
+        monkeypatch.setattr(module, "_flip_form", flipped)
+
+
+def _anchor_stride_short(monkeypatch):
+    # anchors one time step closer together than the offsets they scale
+    tables = dynamics._phase_tables
+
+    def short(energies, vectors, amps0, times):
+        coeffs, anchors, offsets = tables(energies, vectors, amps0, times)
+        stride = max(offsets.shape[-2] - 1, 1)
+        anchor_times = times[::stride][: anchors.shape[-2]]
+        return coeffs, np.exp(dynamics._phase_arguments(anchor_times, energies)), offsets
+
+    monkeypatch.setattr(dynamics, "_phase_tables", short)
 
 
 def _hbar_scaled(factor):
@@ -51,6 +78,8 @@ FAULTS = [
     pytest.param(_j_scaled, id="positional-j-x(1+1e-6)"),
     # the batch kernel's sort, one compare-exchange short
     pytest.param(_set(linalg, "_SORT_NETWORK", (0, 1, 2, 0, 1)), id="sort-network-short"),
+    pytest.param(_flip_form_sign, id="flip-form-sign"),
+    pytest.param(_anchor_stride_short, id="anchor-stride-short"),
     pytest.param(
         _hbar_scaled(1.01), id="hbar-x1.01",
         marks=_missed("every route pair shares hbar; ROADMAP item 3's anchors"),
@@ -72,6 +101,10 @@ FAULTS = [
         _set(linalg, "_DEGENERACY_TOL", 1e-2), id="degeneracy-tol-1e-2",
         marks=_missed("Gaussian draws have no near ties; ROADMAP item 3's near-tie stratum"),
     ),
+    pytest.param(
+        _set(linalg, "_PIVOT_FLOOR", 1e-8), id="pivot-floor-1e-8",
+        marks=_missed("pure states have no tiny pivots; ROADMAP item 3's concurrence strata"),
+    ),
 ]
 
 
@@ -80,3 +113,11 @@ def test_verify_fails_under_fault(fault, monkeypatch):
     fault(monkeypatch)
     lines = []
     assert verify.run_all(lines.append) is False, lines
+
+
+def test_a_wrong_bell_ratio_stops_verify_with_exit_3(monkeypatch, capsys):
+    # sqrt is bell_condition's alone in dynamics; its own check of t_e
+    # against the minus block's raises before the battery's row can fail
+    monkeypatch.setattr(dynamics, "sqrt", lambda x: sqrt(x) * (1.0 + 1e-6))
+    assert cli.main(["verify"]) == 3
+    assert capsys.readouterr().err.startswith("error: inconsistent Bell time: ")
