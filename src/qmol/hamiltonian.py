@@ -8,11 +8,12 @@ energies are in ueV.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _checked_float, _checked_type
+from .errors import InvalidInput, _checked_float, _checked_type
 
 __all__ = ["SystemParams", "build_positional", "build_bell"]
 
@@ -75,7 +76,21 @@ def _positional_matrices(eps1, eps2, delta1, delta2, j) -> np.ndarray:
     broadcast shape followed by (4, 4).  The arguments are not checked:
     this is the matrix arithmetic of `build_positional` without the
     SystemParams checks, so a sweep can build many cells at once.
+
+    Raises InvalidInput where a cell's couplings are all subnormal, that
+    is its largest |coupling| lies below 2**-1022 ueV: such couplings carry
+    fewer than 53 bits (3e-321 has 10), so the matrix no longer spells
+    the system asked for.
     """
+    # j > 0 is one of each cell's couplings, so a normal float j settles it
+    if not isinstance(j, float) or j < sys.float_info.min:
+        couplings = np.broadcast_arrays(eps1, eps2, delta1, delta2, j)
+        largest = np.max(np.abs(couplings), axis=0).min()
+        if largest < sys.float_info.min:
+            raise InvalidInput(
+                f"couplings all below 2**-1022 ueV have lost digits: the largest "
+                f"|coupling| is {float(largest)!r}"
+            )
     # halved before they are added, so that eps1 +- eps2 cannot overflow;
     # halving a normal double is exact
     es2 = eps1 / 2.0 + eps2 / 2.0

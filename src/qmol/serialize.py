@@ -20,17 +20,24 @@ a magnitude of at least `_KERNEL_LIMIT`, is printed with `%` on its own.
   |y - k| == 0.5, then |y - k| <= 0.5 - u, the exact product lies within
   0.5 - u/2 of k, and k is its correctly rounded value.  Where
   |y - k| == 0.5 (the true ties, which are the odd multiples of 1/128, and
-  products that rounded onto a half) k is read back from `'%.6f' % x`.
-  The sign is printed where k < 0, that is where x < 0 and k != 0, which
-  is `fmt6`'s normalization of negative zero.
-- Fields.  A row is one numpy record.  Each column (or block of [0, 1]
-  columns) has one layout per table: a sign byte if it has a negative
-  field, as many digit bytes as its largest integer part has, and an
-  8-byte little-endian fraction word `.ddd` `ddd` plus `,` or a newline,
-  ORed from tables indexed by the three-digit groups of |k|; a `%` column
-  is a zero-padded string.  Deleting the unused (zero) bytes leaves the
-  CSV text; `d.dddddd` tables (trajectories up to 10 ns, tunneling maps)
-  have none.
+  products that rounded onto a half) the rounding error e = x * 10**6 - y
+  is taken exactly, from Veltkamp's split of x (Dekker, Numer. Math. 18,
+  1971): the product lies above the half when e has the sign of y - k, and
+  k moves one step toward y; below it, k stays; on it (e == 0), k keeps
+  rint's half-even.  The sign is printed where k < 0, that is where x < 0
+  and k != 0, which is `fmt6`'s normalization of negative zero.
+- Fields.  A row is one numpy record.  Each column (or block of columns
+  that share a layout) has one layout per table: a sign byte if it has a
+  negative field, a byte for each integer digit before the last if its
+  largest integer part has more than one, an 8-byte little-endian word
+  `d.dddddd`, and a `,` or newline byte.  The word is
+  head[k // 1000] | tail[k % 1000] (the integer digits before the last
+  taken off first), from a 10 000-entry `d.ddd` table and a 1 000-entry
+  `ddd` table, so a one-digit field costs two lookups.  A `%` column is a
+  zero-padded string.  Deleting the unused (zero) bytes with
+  `bytes.replace`, which skips from zero to zero at memchr speed, leaves
+  the CSV text; `d.dddddd` tables (trajectories up to 10 ns, tunneling
+  maps) have none.
 
 Blocks keep the temporaries to a fixed size, whatever the size of the
 table.
@@ -68,20 +75,18 @@ _KERNEL_LIMIT = 999999.5
 
 
 @functools.cache
-def _fraction_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Word values that spell each 3-digit group at its place in a fraction word.
+def _word_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Word values that spell `d.ddd` (bytes 0-4) and `ddd` (bytes 5-7).
 
-    Built on first use, so that a process that prints no CSV body does not
-    page in the numpy loops that build them.  Byte 0 is `.`, bytes 1-3 and
-    4-6 the six decimals, byte 7 the separator.
+    A field's 8-byte little-endian word `d.dddddd` is head[k // 1000] |
+    tail[k % 1000] for k = round(|x| * 10**6) below 10**7.  Built on first
+    use, so that a process that prints no CSV body does not page in the
+    numpy loops that build them.
     """
-    n = np.arange(1000, dtype=np.uint64)
-    digits = [48 + n // 100, 48 + n // 10 % 10, 48 + n % 10]  # ASCII
-    high = sum(c << np.uint64(8 * (1 + i)) for i, c in enumerate(digits))
-    return high | np.uint64(ord(".")), high << np.uint64(24)
-
-
-_COMMA, _NEWLINE = (np.uint64(ord(c) << 56) for c in ",\n")
+    n = np.arange(10_000, dtype=np.uint64)
+    ddd = sum((48 + n // 10**p % 10) << np.uint64(8 * (2 - p)) for p in range(3))  # ASCII
+    head = (48 + n // 1000) | np.uint64(ord(".") << 8) | ddd << np.uint64(16)
+    return head, ddd[:1000] << np.uint64(40)
 
 
 def fmt6(x: float) -> str:
@@ -157,8 +162,8 @@ def _fmt6_blocks(*columns: tuple[np.ndarray, bool]) -> list[bytes]:
         if not (digits and spans and spans[-1][2:] == [fmt, sign, digits]):
             spans.append([width, None, fmt, sign, digits])  # else the last span grows
         width = spans[-1][1] = width + (values.shape[1] if values.ndim == 2 else 1)
-    seps = np.full(width, _COMMA)
-    seps[-1] = _NEWLINE
+    seps = np.full(width, ord(","), dtype=np.uint8)
+    seps[-1] = ord("\n")
     step = max(1, _BLOCK_VALUES // width)
     return [
         _fmt6_block(np.column_stack([c[start:start + step] for c, _ in columns]), spans, seps)
@@ -171,8 +176,8 @@ def _fmt6_block(block: np.ndarray, spans: list, seps: np.ndarray) -> bytes:
     fields, texts = [], {}
     for a, b, fmt, sign, width in spans:
         if width:
-            layout = [("sign", "u1")] * sign + [("int", "u1", (width,)), ("frac", "<u8")]
-            fields.append((str(a), layout, (b - a,)))
+            layout = [("sign", "u1")] * sign + [("int", "u1", (width - 1,))] * (width > 1)
+            fields.append((str(a), layout + [("word", "<u8"), ("sep", "u1")], (b - a,)))
         else:
             row_format = ",".join([fmt] * (b - a)) + ("\n" if b == len(seps) else ",")
             text = "\0".join([row_format] * block.shape[0]) % tuple(block[:, a:b].ravel().tolist())
@@ -180,35 +185,46 @@ def _fmt6_block(block: np.ndarray, spans: list, seps: np.ndarray) -> bytes:
             texts[a] = np.array(text.replace("-0.000000", "0.000000").split("\0"), dtype="S")
             fields.append((str(a), texts[a].dtype))
             block[:, a:b] = 0.0  # the kernel does not print them
+    records = np.empty(block.shape[0], dtype=fields)
     scaled = block * 1e6
     micros = np.rint(scaled)
     # exact except where |y - k| == 0.5 (see the module docstring)
-    for i in np.flatnonzero(np.abs(scaled - micros) == 0.5):
-        micros.flat[i] = int(("%.6f" % block.flat[i]).replace(".", ""))
+    ties = np.flatnonzero(np.abs(scaled - micros) == 0.5)
+    if ties.size:
+        x, y = block.flat[ties], scaled.flat[ties]
+        half = y - micros.flat[ties]
+        high = x * 134217729.0  # Veltkamp's split of x, 2**27 + 1
+        high -= high - x
+        error = (high * 1e6 - y) + (x - high) * 1e6  # x * 10**6 - y, exactly (Dekker)
+        micros.flat[ties] += np.where(error * half > 0.0, 2.0 * half, 0.0)
     k = micros.astype(np.int64)
-    np.abs(k, out=k)
-    milli = k // 1000
-    whole = milli // 1000
-    k -= 1000 * milli  # the last three decimals
-    milli -= 1000 * whole  # the first three
-    frac_high_w, frac_low_w = _fraction_tables()
-    # `take` skips the bounds checks of indexing; the groups lie in [0, 1000)
-    frac = frac_high_w.take(milli, mode="clip") | frac_low_w.take(k, mode="clip") | seps
-    records = np.empty(block.shape[0], dtype=fields)
     for a, b, _, sign, width in spans:
+        if sign:
+            records[str(a)]["sign"] = (k[:, a:b] < 0) * np.uint8(ord("-"))
+            np.abs(k[:, a:b], out=k[:, a:b])
+    milli = k // 1000
+    k -= 1000 * milli  # the last three decimals
+    tens = {}
+    for a, b, _, _, width in spans:
+        if width > 1:  # the digits before the last go in the integer bytes
+            tens[a] = milli[:, a:b] // 10_000
+            milli[:, a:b] -= 10_000 * tens[a]
+    head, tail = _word_tables()
+    # `take` skips the bounds checks of indexing; milli lies in [0, 10 000)
+    # and k in [0, 1000)
+    word = head.take(milli, mode="clip") | tail.take(k, mode="clip")
+    for a, b, _, _, width in spans:
         if not width:
             records[str(a)] = texts[a]
             continue
         field = records[str(a)]
-        if sign:
-            field["sign"] = (micros[:, a:b] < 0) * np.uint8(ord("-"))
-        for i in range(width):  # digits right-aligned, leading zeros as zero bytes
-            top = whole[:, a:b] // 10 ** (width - 1 - i) if i < width - 1 else whole[:, a:b]
-            digit = (top % 10 if i else top) + 48  # the first place is below 10
-            field["int"][..., i] = digit * (top > 0) if i < width - 1 else digit
-        field["frac"] = frac[:, a:b]
+        for i in range(width - 1):  # right-aligned, leading zeros as zero bytes
+            top = tens[a] // 10 ** (width - 2 - i) if i < width - 2 else tens[a]
+            field["int"][..., i] = ((top % 10 if i else top) + 48) * (top > 0)
+        field["word"] = word[:, a:b]
+        field["sep"] = seps[a:b]
     data = records.tobytes()
-    return data if all(span[3:] == [0, 1] for span in spans) else data.translate(None, b"\0")
+    return data if all(span[3:] == [0, 1] for span in spans) else data.replace(b"\0", b"")
 
 
 def _csv_bytes(lines: list[str], body: list[bytes]) -> bytes:

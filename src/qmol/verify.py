@@ -17,6 +17,7 @@ import numpy as np
 
 from .dynamics import analytic_populations, bell_condition, propagate, propagate_rk4, trajectory
 from .entanglement import concurrence, concurrence_pure
+from .errors import QmolError
 from .hamiltonian import SystemParams, build_bell, build_positional
 from .linalg import _hermitian_eigenvalues, expectation, hermitian_eigensolve
 from .spectrum import eigensystem, resonant_solution
@@ -192,12 +193,17 @@ def run_all(out=print) -> bool:
 
     A check passes when the largest |x| over every entry of the arrays and
     numbers it yields is below its bound; one NaN entry makes that NaN,
-    which fails.
+    which fails.  A check that raises a QmolError fails its row, which
+    names the error, and the later rows still run.
     """
     ok = True
     for name, bound, what, check in CHECKS:
-        worst = float(np.max([np.abs(g).max() for g in check()]))
-        passed = worst < bound
+        try:
+            worst = float(np.max([np.abs(g).max() for g in check()]))
+        except QmolError as error:
+            passed, detail = False, f"{type(error).__name__}: {error}"
+        else:
+            passed, detail = worst < bound, f"max {what} {worst:.3e}"
         ok = ok and passed
-        out(f"{'PASS' if passed else 'FAIL'}  {name}  (max {what} {worst:.3e})")
+        out(f"{'PASS' if passed else 'FAIL'}  {name}  ({detail})")
     return ok

@@ -153,6 +153,17 @@ def test_bell_times_at_extreme_couplings(j, capsys):
     assert (values["j_ueV"], values["delta1_ueV"], values["t_e_ns"]) == exponent_form[j]
 
 
+def test_couplings_all_below_the_normal_range_exit_2(capsys):
+    # it printed energies of +-2.914987e-321 and a Bell weight of 0.464298
+    code, out, err = run(capsys, "spectrum", "--j", "1e-320", "--d1", "3e-321")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # a largest coupling of 2**-1022 ueV still answers
+    code, out, err = run(capsys, "spectrum", "--j", repr(2.0**-1022), "--d1", repr(2.0**-1024))
+    assert (code, err) == (0, "")
+    assert len(_body_rows(out)) == 4
+
+
 def _body_rows(out):
     return [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from qmol.entanglement import concurrence_pure
+from qmol.errors import InvalidInput
 from qmol.hamiltonian import (
     SystemParams,
+    _positional_matrices,
     build_bell,
     build_positional,
 )
+from qmol.spectrum import eigensystem, resonant_solution
 from qmol.states import BELL_MATRIX
 
 
@@ -102,3 +106,29 @@ def test_coulomb_sign_structure():
     h = build_positional(p)
     assert h[0, 0].real == 2.0 and h[3, 3].real == 2.0
     assert h[1, 1].real == -2.0 and h[2, 2].real == -2.0
+
+
+def test_couplings_all_below_the_normal_range_are_rejected():
+    # 3e-321 keeps 10 of its 53 bits; this printed a Bell weight of 0.464298
+    # where the same ratio at unit scale gives 0.464373
+    tiny = SystemParams(j=1e-320, delta1=3e-321)
+    with pytest.raises(InvalidInput, match=r"2\*\*-1022 ueV"):
+        build_positional(tiny)
+    # one such cell of a stack is enough
+    with pytest.raises(InvalidInput, match="1e-310"):
+        _positional_matrices(np.array([0.0, 1e-310]), 0.0, 0.0, 0.0, np.array([25.0, 1e-310]))
+    assert len(resonant_solution(tiny).energies) == 4  # builds no matrix
+
+
+def test_a_largest_coupling_of_2_to_the_minus_1022_still_answers():
+    # dyadic couplings, so the scaled matrix is the unit one times 2**-1022
+    unit = SystemParams(eps1=0.125, eps2=-0.0625, delta1=0.375, delta2=0.25, j=1.0)
+    scale = 2.0**-1022
+    fields = ("eps1", "eps2", "delta1", "delta2", "j")
+    scaled = SystemParams(*(scale * getattr(unit, name) for name in fields))
+    assert scaled.j == scale and 0.0 < -scaled.eps2 < scale  # the others are subnormal
+    np.testing.assert_array_equal(build_positional(scaled), build_positional(unit) * scale)
+    a, b = eigensystem(unit), eigensystem(scaled)
+    np.testing.assert_allclose(b.energies / scale, a.energies, rtol=0.0, atol=1e-15)
+    got = [concurrence_pure(s) for s in b.states]
+    np.testing.assert_allclose(got, [concurrence_pure(s) for s in a.states], rtol=0.0, atol=1e-14)

@@ -243,6 +243,12 @@ def test_kernel_on_products_that_round_onto_a_half():
     exact = np.array([abs(int(fmt6(v).replace(".", ""))) for v in x])
     assert len(x) > 60_000 and np.sum(exact != rint) > 30_000
     _assert_kernel_matches(x, width=2)  # x holds both signs, so its length is even
+    # time grids whose products land on a half thousands of times
+    for t_max, count in [(2.05, 8514), (0.25, 6868)]:
+        t = np.linspace(0.0, t_max, 20001)
+        assert np.sum(np.abs(t * 1e6 - np.rint(t * 1e6)) == 0.5) == count
+        _assert_kernel_matches(t[:-1], width=4)
+        _assert_kernel_matches(-t[:-1], width=4)
 
 
 def test_kernel_on_signed_zeros_and_the_domain_edge():

@@ -4,8 +4,8 @@ Each row patches one module attribute, as a later change could plausibly
 get it wrong, and asserts that the battery fails.  Rows the battery does
 not catch yet are strict xfails, each naming the ROADMAP item whose rows
 will catch it; a row that starts to fail the battery must lose its marker.
-A fault that one of the library's own checks stops first, so that the
-battery raises instead of failing a row, has a test of its own below.
+A fault that one of the library's own checks stops first fails the row
+whose check raised, and the later rows still run (the test below).
 """
 
 from math import sqrt
@@ -57,6 +57,12 @@ def _anchor_stride_short(monkeypatch):
     monkeypatch.setattr(dynamics, "_phase_tables", short)
 
 
+def _bell_ratio_scaled(monkeypatch):
+    # sqrt is bell_condition's alone in dynamics; its own check of t_e
+    # against the minus block's raises before the row's deviation is taken
+    monkeypatch.setattr(dynamics, "sqrt", lambda x: sqrt(x) * (1.0 + 1e-6))
+
+
 def _hbar_scaled(factor):
     def fault(monkeypatch):
         monkeypatch.setattr(dynamics, "HBAR_UEV_NS", dynamics.HBAR_UEV_NS * factor)
@@ -80,6 +86,7 @@ FAULTS = [
     pytest.param(_set(linalg, "_SORT_NETWORK", (0, 1, 2, 0, 1)), id="sort-network-short"),
     pytest.param(_flip_form_sign, id="flip-form-sign"),
     pytest.param(_anchor_stride_short, id="anchor-stride-short"),
+    pytest.param(_bell_ratio_scaled, id="bell-ratio-x(1+1e-6)"),
     pytest.param(
         _hbar_scaled(1.01), id="hbar-x1.01",
         marks=_missed("every route pair shares hbar; ROADMAP item 3's anchors"),
@@ -115,9 +122,13 @@ def test_verify_fails_under_fault(fault, monkeypatch):
     assert verify.run_all(lines.append) is False, lines
 
 
-def test_a_wrong_bell_ratio_stops_verify_with_exit_3(monkeypatch, capsys):
-    # sqrt is bell_condition's alone in dynamics; its own check of t_e
-    # against the minus block's raises before the battery's row can fail
-    monkeypatch.setattr(dynamics, "sqrt", lambda x: sqrt(x) * (1.0 + 1e-6))
+def test_a_wrong_bell_ratio_fails_its_row_and_verify_exits_3(monkeypatch, capsys):
+    _bell_ratio_scaled(monkeypatch)
     assert cli.main(["verify"]) == 3
-    assert capsys.readouterr().err.startswith("error: inconsistent Bell time: ")
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and len(lines) == len(verify.CHECKS) == 12
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert failed == [lines[10]] and lines[10].startswith(
+        "FAIL  Bell-condition solver by propagation  (ConvergenceError: inconsistent Bell time: "
+    )
