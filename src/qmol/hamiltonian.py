@@ -73,7 +73,7 @@ def _positional_matrices(eps1, eps2, delta1, delta2, j) -> np.ndarray:
     """Real positional-basis Hamiltonians for scalar or array couplings.
 
     The arguments broadcast against each other; the result has their
-    broadcast shape followed by (4, 4).  The arguments are not checked:
+    broadcast shape followed by (4, 4).  Types and finiteness are not checked:
     this is the matrix arithmetic of `build_positional` without the
     SystemParams checks, so a sweep can build many cells at once.
 
