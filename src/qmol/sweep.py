@@ -2,10 +2,12 @@
 
 Every map is solved by the batched real-symmetric Jacobi kernel, whose
 arithmetic in each cell is identical to the scalar solver's: eigen maps
-in row-major blocks of at most `_BLOCK_CELLS` grid cells, dynamics maps
-in blocks of at most `_BLOCK_CELLS` rows, one Hamiltonian per row.  The
-kernel is deterministic, so identical inputs always produce bit-identical
-grids.  A map is rerun from the CSV header the CLI writes for it (see
+in blocks of at most `_BLOCK_CELLS` grid cells, dynamics maps in blocks
+of at most `_BLOCK_CELLS` rows, one Hamiltonian per row.  An eigen map on
+a symmetric grid solves one cell of each symmetry orbit and copies it to
+the others (see `eigen_concurrence_map`).  The kernel is deterministic,
+so identical inputs always produce bit-identical grids.  A map is rerun
+from the CSV header the CLI writes for it (see
 `qmol.cli.config_from_metadata`).
 """
 
@@ -120,9 +122,21 @@ def eigen_concurrence_map(
     and eps2 along y.  Each cell diagonalizes the Hamiltonian with the
     grid detunings (tunnelings and Coulomb coupling from `base`) and takes
     the pure-state concurrence of the requested ascending-energy state.
-    The cells are solved in blocks by `symmetric_eigensolve_batch`; each
-    value and mask entry equals what `hermitian_eigensolve` and
-    `concurrence_pure` give for that cell alone.
+
+    Two local symmetries keep the spectrum and every concurrence: X (x) X
+    maps (eps1, eps2) to (-eps1, -eps2), and, when delta1 == delta2, SWAP
+    maps it to (eps2, eps1).  So on a symmetric grid (minimum == -maximum,
+    as floats) a cell (iy, ix) with iy + ix > steps - 1 takes its value
+    and mask entry from (steps-1-iy, steps-1-ix), and with equal
+    tunnelings each cell then takes them from (min(iy, ix), max(iy, ix)).
+    Only the cells that are their own source are solved, in blocks, by
+    `symmetric_eigensolve_batch`; each solved cell's value and mask entry
+    equal what `hermitian_eigensolve` and `concurrence_pure` give for
+    that cell alone, and every other cell equals its source.  The axis
+    values are `np.linspace`'s, which are antisymmetric only to within an
+    ulp, so a copied cell holds the value at the exact image of its
+    source's point, within an ulp of its own.  A grid that is not
+    symmetric solves every cell.
 
     Raises:
         InvalidInput: for a state index outside 0..3 or a map of more than
@@ -139,19 +153,30 @@ def eigen_concurrence_map(
     xs = x_axis.values
     ys = y_axis.values
     cells = steps * steps
+    iy, ix = np.divmod(np.arange(cells), steps)
+    if x_axis.minimum == -x_axis.maximum:
+        # X (x) X: the cell at (-eps1, -eps2) has the same concurrence
+        flip = iy + ix > steps - 1
+        iy[flip] = steps - 1 - iy[flip]
+        ix[flip] = steps - 1 - ix[flip]
+        if base.delta1 == base.delta2:
+            # SWAP: so has the cell at (eps2, eps1)
+            iy, ix = np.minimum(iy, ix), np.maximum(iy, ix)
+    src = iy * steps + ix
+    solved = np.flatnonzero(src == np.arange(cells))
     values = np.empty(cells)
     mask = np.empty(cells, dtype=bool)
-    for start in range(0, cells, _BLOCK_CELLS):
-        stop = min(start + _BLOCK_CELLS, cells)
-        iy, ix = np.divmod(np.arange(start, stop), steps)
+    for start in range(0, solved.size, _BLOCK_CELLS):
+        block = solved[start : start + _BLOCK_CELLS]
+        iy, ix = np.divmod(block, steps)
         h = _positional_matrices(xs[ix], ys[iy], base.delta1, base.delta2, base.j)
         _, vectors, pairs = symmetric_eigensolve_batch(h)
         amps = vectors[:, :, state_index].T
-        values[start:stop] = np.clip(np.abs(_flip_form(amps, amps)), 0.0, 1.0)
-        mask[start:stop] = pair_flags_to_states(pairs.T)[state_index]
+        values[block] = np.clip(np.abs(_flip_form(amps, amps)), 0.0, 1.0)
+        mask[block] = pair_flags_to_states(pairs.T)[state_index]
     shape = (steps, steps)
     return SweepGrid(
-        x_axis, y_axis, values.reshape(shape), degenerate_mask=mask.reshape(shape)
+        x_axis, y_axis, values[src].reshape(shape), degenerate_mask=mask[src].reshape(shape)
     )
 
 

@@ -43,9 +43,9 @@ def test_axis_rejects_infinite_span(lo, hi):
         Axis("eps2", lo, hi, 3, "ueV")
 
 
-def reference_map(base, state_index, eps_steps):
+def reference_map(base, state_index, lo, hi, eps_steps):
     """The eigen map cell by cell: one scalar solve and concurrence_pure each."""
-    eps = np.linspace(-base.j, base.j, eps_steps)
+    eps = np.linspace(float(lo), float(hi), eps_steps)
     values = np.empty((eps_steps, eps_steps))
     mask = np.empty((eps_steps, eps_steps), dtype=bool)
     for iy, e2 in enumerate(eps):
@@ -57,11 +57,37 @@ def reference_map(base, state_index, eps_steps):
     return values, mask
 
 
-def assert_matches_reference(base, state_index, eps_steps):
-    grid = eigen_concurrence_map(base, state_index, eps_steps=eps_steps)
-    values, mask = reference_map(base, state_index, eps_steps)
-    assert grid.values.tobytes() == values.tobytes()
-    assert np.array_equal(grid.degenerate_mask, mask)
+def orbit_sources(steps, symmetric, swap):
+    """The flat index of each cell's source, cell by cell: its inversion
+    mirror past the antidiagonal, then, with swap, the ordered pair."""
+    sources = np.empty((steps, steps), dtype=int)
+    for iy in range(steps):
+        for ix in range(steps):
+            sy, sx = iy, ix
+            if symmetric and iy + ix > steps - 1:
+                sy, sx = steps - 1 - iy, steps - 1 - ix
+            if symmetric and swap:
+                sy, sx = min(sy, sx), max(sy, sx)
+            sources[iy, ix] = sy * steps + sx
+    return sources.ravel()
+
+
+def assert_matches_reference(base, state_index, eps_steps, lo=None, hi=None):
+    """Solved cells have the scalar route's bits, every other cell its
+    source's, and an unflagged copy lies within 1e-11 of its own solve."""
+    lo, hi = (-base.j, base.j) if lo is None else (lo, hi)
+    grid = eigen_concurrence_map(base, state_index, lo, hi, eps_steps)
+    values, mask = (a.ravel() for a in reference_map(base, state_index, lo, hi, eps_steps))
+    got_values, got_mask = grid.values.ravel(), grid.degenerate_mask.ravel()
+    src = orbit_sources(eps_steps, float(lo) == -float(hi), base.delta1 == base.delta2)
+    solved = src == np.arange(src.size)
+    assert got_values[solved].tobytes() == values[solved].tobytes()
+    assert np.array_equal(got_mask[solved], mask[solved])
+    assert got_values.tobytes() == got_values[src].tobytes()
+    assert np.array_equal(got_mask, got_mask[src])
+    unflagged = ~solved & ~got_mask & ~mask
+    assert np.abs(got_values - values)[unflagged].max(initial=0.0) < 1e-11
+    return solved
 
 
 TUNNELINGS = {
@@ -78,14 +104,84 @@ def test_eigen_map_matches_per_cell_reference(tunneling, state_index):
 
 
 def test_eigen_map_larger_than_one_block_matches_reference():
+    # a grid that is not symmetric solves every cell, bit for bit
     steps = isqrt(sweep._BLOCK_CELLS) + 2
     assert steps * steps > sweep._BLOCK_CELLS
-    assert_matches_reference(TUNNELINGS["unequal"], 1, steps)
+    solved = assert_matches_reference(TUNNELINGS["unequal"], 1, steps, -10.0, 30.0)
+    assert solved.all()
 
 
-def test_eigen_map_blocks_need_not_align_with_rows(monkeypatch):
+@pytest.mark.parametrize("tunneling", ["equal", "unequal"])
+def test_eigen_map_blocks_need_not_align_with_rows(monkeypatch, tunneling):
     monkeypatch.setattr(sweep, "_BLOCK_CELLS", 7)
-    assert_matches_reference(TUNNELINGS["equal"], 2, 9)
+    assert_matches_reference(TUNNELINGS[tunneling], 2, 9)
+
+
+@pytest.mark.parametrize("lo, hi", [(-30.0, 30.0), (-10.0, 30.0), (-30.0, 7.5)])
+@pytest.mark.parametrize("steps", [16, 17])
+@pytest.mark.parametrize("tunneling", ["equal", "unequal"])
+def test_eigen_map_orbits_on_odd_and_even_grids(tunneling, steps, lo, hi):
+    solved = assert_matches_reference(TUNNELINGS[tunneling], 1, steps, lo, hi)
+    assert solved.all() == (lo != -hi)
+
+
+def test_eigen_map_copies_match_their_own_solves_on_random_maps():
+    rng = np.random.default_rng(36)
+    for _ in range(8):
+        j = rng.uniform(5.0, 50.0)
+        d1, d2 = rng.uniform(-j, j, 2)
+        base = SystemParams(delta1=d1, delta2=d1 if rng.random() < 0.5 else d2, j=j)
+        half = rng.uniform(0.1, 2.0) * j
+        steps = int(rng.integers(9, 20))
+        assert_matches_reference(base, int(rng.integers(4)), steps, -half, half)
+
+
+def solved_cells(monkeypatch, *args):
+    """How many cells `eigen_concurrence_map(*args)` hands to the batch solver."""
+    solve, count = sweep.symmetric_eigensolve_batch, []
+
+    def counted(h):
+        count.append(len(h))
+        return solve(h)
+
+    monkeypatch.setattr(sweep, "symmetric_eigensolve_batch", counted)
+    grid = eigen_concurrence_map(*args)
+    monkeypatch.setattr(sweep, "symmetric_eigensolve_batch", solve)
+    return grid, sum(count)
+
+
+@pytest.mark.parametrize(
+    "steps, lo, hi, equal_cells, unequal_cells",
+    [
+        # the quarter with iy <= ix and iy + ix <= n - 1, or the half with iy + ix <= n - 1
+        (21, -20.0, 20.0, 11 * 11, 21 * 22 // 2),
+        (20, -20.0, 20.0, 10 * 11, 20 * 21 // 2),
+        (21, -20.0, 30.0, 21 * 21, 21 * 21),
+    ],
+)
+def test_eigen_map_solves_one_cell_per_orbit(monkeypatch, steps, lo, hi, equal_cells, unequal_cells):
+    for tunneling, cells in (("equal", equal_cells), ("unequal", unequal_cells)):
+        _, solved = solved_cells(monkeypatch, TUNNELINGS[tunneling], 1, lo, hi, steps)
+        assert solved == cells, tunneling
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (-20, 20),
+        (np.int64(-20), np.float32(20.0)),
+        (np.float64(-20.0), 20),
+        # these integers differ, but both round to the double 2**53
+        (-(2**53 + 1), 2**53),
+    ],
+)
+def test_eigen_map_symmetry_test_reads_the_checked_floats(monkeypatch, lo, hi):
+    base = TUNNELINGS["equal"]
+    grid, solved = solved_cells(monkeypatch, base, 1, lo, hi, 21)
+    plain, plain_solved = solved_cells(monkeypatch, base, 1, float(lo), float(hi), 21)
+    assert solved == plain_solved == 11 * 11
+    assert grid.values.tobytes() == plain.values.tobytes()
+    assert np.array_equal(grid.degenerate_mask, plain.degenerate_mask)
 
 
 def test_eigen_map_memory_is_bounded_by_the_block():
@@ -139,10 +235,13 @@ def test_eigen_map_antidiagonal_state_two():
 
 def test_eigen_map_inversion_symmetry():
     """Flipping both detuning signs is a local operation, so the
-    concurrence map is symmetric under inversion through the origin."""
+    concurrence map is symmetric under inversion through the origin: the
+    quadrant [-20, 0]^2, which the map solves, mirrors a map of [0, 20]^2,
+    which is not symmetric and so solves every cell."""
     base = SystemParams(delta1=3.0, delta2=7.0, j=25.0)
-    grid = eigen_concurrence_map(base, 0, eps_steps=9)
-    assert np.abs(grid.values - grid.values[::-1, ::-1]).max() < 1e-10
+    grid = eigen_concurrence_map(base, 0, eps_steps=9, eps_min=-20.0, eps_max=20.0)
+    direct = eigen_concurrence_map(base, 0, eps_steps=5, eps_min=0.0, eps_max=20.0)
+    assert np.abs(grid.values[:5, :5] - direct.values[::-1, ::-1]).max() < 1e-10
 
 
 def test_eigen_map_swap_covariance():

@@ -85,14 +85,13 @@ def test_bell_row_fails_for_a_concurrence_below_one_minus_1e_8(monkeypatch, defi
 
 
 def test_a_rerun_that_differs_in_one_bit_fails_the_determinism_row(monkeypatch):
-    values = np.zeros((3, 3))
-    runs = iter([values, np.copysign(values, -1.0)])
-    monkeypatch.setattr(
-        verify,
-        "eigen_concurrence_map",
-        lambda *args, **kwargs: SimpleNamespace(
-            values=next(runs), degenerate_mask=np.zeros((3, 3), dtype=bool)
-        ),
-    )
+    values = np.zeros((21, 21))
+    runs = iter([values, np.copysign(values, -1.0), values[10:, 10:]])
+
+    def eigen_concurrence_map(*args, **kwargs):
+        values = next(runs)
+        return SimpleNamespace(values=values, degenerate_mask=np.zeros(values.shape, dtype=bool))
+
+    monkeypatch.setattr(verify, "eigen_concurrence_map", eigen_concurrence_map)
     gaps = verify.check_sweep_determinism()
     assert float(np.max([np.abs(g).max() for g in gaps])) == float("inf")
