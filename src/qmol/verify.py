@@ -4,10 +4,10 @@ Each check pits two of the package's routes against each other
 (hand-rolled eigensolver vs numpy, closed forms vs numerics, spectral
 propagation vs RK4, a sweep vs its rerun and vs a direct solve of the
 quadrant it copies from its mirror image) on seeded random inputs and
-yields the deviations between them.  `run_all` takes
-the largest |x| over every entry a check yields, compares it with the
-bound of the check's `CHECKS` row and prints one line.  The full battery
-runs in well under a second.
+yields the deviations between them.  `run_all` takes the largest |x|
+over every entry a check yields, compares it with the bound of the
+check's `CHECKS` row and prints one line.  The full battery runs in well
+under a second.
 """
 
 from __future__ import annotations
